@@ -5,42 +5,38 @@ Usage:
     fieldcast run <scenario> [--rows N --cols N --n N --spacing X --noise X
                               --radius X --dt X --duration X --seed N
                               --out trace.csv --frames dir --check --eager
-                              --config file ...scenario flags]
+                              --wire-stats --config file ...scenario flags]
 
-``--check`` runs the scenario's built-in oracle and exits nonzero when any
-check fails.  ``--config`` reads flat ``key=value`` lines (same keys as the
-flags); explicit flags override file values.
+Every ``ScenarioConfig`` field but ``scenario`` is both a flag (``--name-with-
+dashes``) and a ``--config`` key; ``--eager`` and the key ``eager`` set
+``lazy`` to false.  ``--check`` runs the scenario's built-in oracle and exits
+nonzero when any check fails.  ``--config`` reads flat ``key=value`` lines;
+explicit flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .errors import AggregateError
 from .scenarios import SCENARIOS, ScenarioConfig
 
-_FLAG_FIELDS = {
-    "rows": int,
-    "cols": int,
-    "n": int,
-    "spacing": float,
-    "noise": float,
-    "radius": float,
-    "dt": float,
-    "duration": float,
-    "seed": int,
-    "frame_interval": float,
-    "width": float,
-    "leader_radius": float,
-    "speed": float,
-    "noise_amplitude": float,
-    "model_dim": int,
-    "learning_rate": float,
-    "clusters": int,
-    "threshold": float,
+
+def _parse_bool(value: str) -> bool:
+    return value.lower() in ("1", "true", "yes", "on")
+
+
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+
+# Config key -> value parser, one per field (annotations are strings here).
+_CONFIG_KEYS = {
+    f.name: _PARSERS[f.type.removesuffix(" | None")]
+    for f in fields(ScenarioConfig)
+    if f.name != "scenario"
 }
 
 
@@ -55,15 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     runner = commands.add_parser("run", help="execute one scenario")
     runner.add_argument("scenario", choices=sorted(SCENARIOS))
-    for name, kind in _FLAG_FIELDS.items():
-        runner.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
-    runner.add_argument("--out", type=str, default=None, help="trace CSV path")
-    runner.add_argument("--frames", type=str, default=None, help="frame snapshot directory")
     runner.add_argument("--config", type=str, default=None, help="key=value config file")
-    runner.add_argument("--check", action="store_true", help="run the built-in oracle")
-    runner.add_argument(
-        "--eager", action="store_true", help="disable lazy transmission of state values"
-    )
+    for name, parse in _CONFIG_KEYS.items():
+        if name == "lazy":
+            runner.add_argument(
+                "--eager", dest="lazy", action="store_false", default=None,
+                help="disable lazy transmission of state values",
+            )
+        elif parse is _parse_bool:
+            runner.add_argument(f"--{name.replace('_', '-')}", action="store_true", default=None)
+        else:
+            runner.add_argument(f"--{name.replace('_', '-')}", type=parse, default=None)
     return parser
 
 
@@ -79,12 +77,13 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key in _FLAG_FIELDS:
-            values[key] = _FLAG_FIELDS[key](value)
-        elif key in ("out", "frames"):
-            values[key] = value
-        elif key in ("check", "eager", "lazy"):
-            values[key] = value.lower() in ("1", "true", "yes", "on")
+        if key == "eager":
+            values["lazy"] = not _parse_bool(value)
+        elif key in _CONFIG_KEYS:
+            try:
+                values[key] = _CONFIG_KEYS[key](value)
+            except ValueError as error:
+                raise AggregateError(f"{path}:{line_number}: {key}: {error}") from None
         else:
             raise AggregateError(f"{path}:{line_number}: unknown config key {key!r}")
     return values
@@ -92,27 +91,14 @@ def parse_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     """Defaults, then scenario defaults, then config file, then explicit flags."""
-    spec = SCENARIOS[args.scenario]
-    config = ScenarioConfig(scenario=args.scenario)
-    merged: dict = dict(spec.defaults)
+    merged: dict = dict(SCENARIOS[args.scenario].defaults)
     if args.config:
-        file_values = parse_config_file(args.config)
-        if "eager" in file_values:
-            file_values["lazy"] = not file_values.pop("eager")
-        merged.update(file_values)
-    for name in _FLAG_FIELDS:
+        merged.update(parse_config_file(args.config))
+    for name in _CONFIG_KEYS:
         flag_value = getattr(args, name)
         if flag_value is not None:
             merged[name] = flag_value
-    if args.out is not None:
-        merged["out"] = args.out
-    if args.frames is not None:
-        merged["frames"] = args.frames
-    if args.check:
-        merged["check"] = True
-    if args.eager:
-        merged["lazy"] = False
-    return config.overridden(**merged)
+    return ScenarioConfig(scenario=args.scenario).overridden(**merged)
 
 
 def main(argv=None) -> int:
@@ -134,10 +120,13 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    print(
+    summary = (
         f"{result.scenario}: {len(result.results)} nodes, "
         f"{result.simulator.rounds_executed} rounds, seed {config.seed}"
     )
+    if config.wire_stats:
+        summary += f", {result.simulator.wire_bytes} wire bytes"
+    print(summary)
     if config.out:
         print(f"trace written to {config.out}")
     if config.frames:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import channel, flocking, gossipmax, scr, sofl
-from .base import CheckResult, RunResult, ScenarioConfig, config_field_names
+from .base import CheckResult, RunResult, ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -54,5 +54,4 @@ __all__ = [
     "SCENARIOS",
     "ScenarioConfig",
     "ScenarioSpec",
-    "config_field_names",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -65,10 +65,6 @@ class ScenarioConfig:
 
     def overridden(self, **changes) -> "ScenarioConfig":
         return replace(self, **changes)
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(ScenarioConfig)]
 
 
 @dataclass

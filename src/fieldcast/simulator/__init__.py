@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulator for aggregate networks."""
 
-from .core import Event, Simulator, aggregate_program_runner, derive_seed, motion_actuator
+from .core import Simulator, aggregate_program_runner, derive_seed, motion_actuator
 from .deployments import deformed_lattice, grid_generation, random_in_circle
 from .environment import (
     Environment,
@@ -22,7 +22,6 @@ from .node import Node
 __all__ = [
     "CsvTraceMonitor",
     "Environment",
-    "Event",
     "FrameMonitor",
     "Monitor",
     "Node",

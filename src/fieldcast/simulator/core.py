@@ -32,23 +32,6 @@ def derive_seed(master: int, key) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class Event:
-    __slots__ = ("time", "sequence", "fn", "args")
-
-    def __init__(self, time: float, sequence: int, fn: Callable, args: tuple):
-        self.time = time
-        self.sequence = sequence
-        self.fn = fn
-        self.args = args
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
-    def __repr__(self) -> str:
-        name = getattr(self.fn, "__name__", repr(self.fn))
-        return f"Event(t={self.time}, seq={self.sequence}, fn={name})"
-
-
 class Simulator:
     def __init__(self, seed: int = 0, lazy: bool = True):
         self.environment = Environment()
@@ -61,7 +44,9 @@ class Simulator:
         self.rounds_executed = 0
         self.wire_bytes = 0
         self.count_wire_bytes = False
-        self._queue: list[Event] = []
+        # (time, sequence, fn, args): the unique sequence breaks time ties
+        # before fn would ever be compared.
+        self._queue: list[tuple] = []
         self._sequence = 0
 
     # -- population ----------------------------------------------------------
@@ -76,17 +61,18 @@ class Simulator:
     def schedule_event(self, time: float, fn: Callable, *args: Any) -> None:
         if time < self.time:
             raise DomainError(f"cannot schedule into the past ({time} < {self.time})")
-        heapq.heappush(self._queue, Event(time, self._sequence, fn, args))
+        heapq.heappush(self._queue, (time, self._sequence, fn, args))
         self._sequence += 1
 
     def run(self, until: float) -> None:
         """Pop events in (time, sequence) order until none remain at or before ``until``."""
         for monitor in self.monitors:
             monitor.on_start(self)
-        while self._queue and self._queue[0].time <= until:
-            event = heapq.heappop(self._queue)
-            self.time = event.time
-            event.fn(*event.args)
+        queue = self._queue
+        while queue and queue[0][0] <= until:
+            event = heapq.heappop(queue)
+            self.time, _, fn, args = event
+            fn(*args)
             for monitor in self.monitors:
                 monitor.on_event(self, event)
         if until > self.time:

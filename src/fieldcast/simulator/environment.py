@@ -22,7 +22,6 @@ class Environment:
     def __init__(self):
         self.nodes: dict[int, Node] = {}
         self.neighborhood_fn: NeighborhoodFn = full_neighborhood()
-        self._version = 0
         self._neighbor_memo: dict[int, tuple[int, ...]] = {}
         self._grid_memo: tuple[float, dict] | None = None
         self._next_id = 0
@@ -48,7 +47,6 @@ class Environment:
         self._invalidate()
 
     def _invalidate(self) -> None:
-        self._version += 1
         if self._neighbor_memo:
             self._neighbor_memo = {}
         self._grid_memo = None

@@ -1,9 +1,10 @@
 """Observation hooks: CSV traces, SVG frame snapshots, in-memory recorders.
 
 Monitors observe the simulation read-only.  They receive ``on_start`` when a
-run begins, ``on_event`` after every processed event, ``on_round`` after each
-completed node round, and ``on_finish`` when the run ends.  A monitor that
-raises aborts the run; that is deliberate.
+run begins, ``on_event`` after every processed event (the popped
+``(time, sequence, fn, args)`` tuple), ``on_round`` after each completed node
+round, and ``on_finish`` when the run ends.  A monitor that raises aborts the
+run; that is deliberate.
 """
 
 from __future__ import annotations

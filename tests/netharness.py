@@ -1,17 +1,15 @@
-"""Minimal synchronous multi-node harness for exercising programs directly.
+"""Synchronous sweeps over a fixed topology, run on the simulator.
 
-Runs one engine round per node per sweep over a fixed topology, delivering
-each node the exports every neighbor (itself included) published in earlier
-sweeps — the same visibility rule as the simulator, without the event queue.
+A sweep is one simulator instant: every node runs one round through
+``aggregate_program_runner`` in ascending id order and, by the runner's
+strictly-before rule, hears what its neighbors and itself published earlier.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable
 
-from fieldcast import Engine, NodeContext, activate
-from fieldcast.simulator import derive_seed
+from fieldcast.simulator import Simulator, StabilityTracker, aggregate_program_runner
 
 
 class SweepNetwork:
@@ -21,53 +19,56 @@ class SweepNetwork:
         positions: dict[int, tuple] | None = None,
         sensors: dict[int, dict] | None = None,
         seed: int = 0,
-        lazy: bool = True,
         dt: float = 1.0,
     ):
         self.topology = {n: set(peers) for n, peers in topology.items()}
         self.positions = positions or {n: (float(n), 0.0) for n in topology}
         self.sensors = sensors or {n: {} for n in topology}
-        self.lazy = lazy
-        self.dt = dt
-        self.time = 0.0
-        self.states: dict[int, Any] = {n: None for n in topology}
-        self.exports: dict[int, Any] = {}
-        self.results: dict[int, Any] = {}
-        self.rngs = {n: random.Random(derive_seed(seed, n)) for n in topology}
-        self.sweeps = 0
+        self.dt, self.time = dt, 0.0
+        self.simulator = Simulator(seed=seed)
+        environment = self.simulator.environment
+        # Environment ids count from 0: add, then drop, the ids the topology skips.
+        for node_id in range(max(self.topology) + 1):
+            position = self.positions.get(node_id, (0.0, 0.0))
+            self.simulator.add_node(position, self.sensors.get(node_id))
+            if node_id not in self.topology:
+                del environment.nodes[node_id]
+        environment.set_neighborhood_function(lambda _, node: self.topology[node.id])
+        for node in environment.node_list():
+            self.simulator.schedule_event(
+                0.0, aggregate_program_runner, self.simulator, dt, node, lambda: self.program()
+            )
+
+    @property
+    def exports(self) -> dict[int, Any]:
+        nodes = self.simulator.environment.nodes.values()
+        return {node.id: node.last_export for node in nodes if node.last_export is not None}
 
     def sweep(self, program: Callable, only: set[int] | None = None) -> dict[int, Any]:
-        """Run one round on every node (ascending id); returns the results."""
-        new_exports: dict[int, Any] = {}
-        for node_id in sorted(self.topology):
-            if only is not None and node_id not in only:
-                continue
-            inbound = {
-                peer: self.exports[peer]
-                for peer in self.topology[node_id] | {node_id}
-                if peer in self.exports
-            }
-            engine = Engine(lazy=self.lazy)
-            context = NodeContext(
-                node_id,
-                self.positions[node_id],
-                self.time,
-                self.sensors[node_id],
-                self.rngs[node_id],
-            )
-            with activate(engine):
-                engine.setup(context, inbound, self.states[node_id])
-                self.results[node_id] = program()
-                self.states[node_id], new_exports[node_id] = engine.cooldown()
-        self.exports.update(new_exports)
+        """Run one round on every node (ascending id); returns the results.
+
+        Nodes outside ``only`` are suppressed.  The runner logs and skips a
+        round aborted by an `AlignmentError`; the sweep fails on one.
+        """
+        nodes = self.simulator.environment.node_list()
+        for node in nodes:
+            node.suppressed = only is not None and node.id not in only
+        expected = self.simulator.rounds_executed + sum(not node.suppressed for node in nodes)
+        self.program = program
+        self.simulator.run(self.time)
         self.time += self.dt
-        self.sweeps += 1
-        return dict(self.results)
+        if self.simulator.rounds_executed != expected:
+            raise AssertionError(
+                f"{expected - self.simulator.rounds_executed} round(s) aborted "
+                f"at t={self.simulator.time}; see the logged alignment error"
+            )
+        # A node has a state once it has completed a round.
+        return {node.id: node.result for node in nodes if node.state is not None}
 
     def run(self, program: Callable, sweeps: int) -> dict[int, Any]:
         for _ in range(sweeps):
-            self.sweep(program)
-        return dict(self.results)
+            results = self.sweep(program)
+        return results
 
     def run_until_stable(
         self, program: Callable, max_sweeps: int = 500, window: int = 8
@@ -77,22 +78,18 @@ class SweepNetwork:
         A single unchanged sweep is not enough: composed blocks can plateau
         while information is still spreading underneath.
         """
-        previous = None
-        streak = 0
+        tracker = StabilityTracker(window=window)
+        self.simulator.attach_monitor(tracker)
         for _ in range(max_sweeps):
-            current = self.sweep(program)
-            streak = streak + 1 if current == previous else 1
-            if streak >= window:
-                return current
-            previous = current
+            results = self.sweep(program)
+            if tracker.stabilized(self.simulator.environment):
+                self.simulator.monitors.remove(tracker)
+                return results
         raise AssertionError(f"no fixpoint within {max_sweeps} sweeps")
 
 
 def line_topology(n: int) -> dict[int, set[int]]:
-    return {
-        i: {j for j in (i - 1, i + 1) if 0 <= j < n}
-        for i in range(n)
-    }
+    return {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
 
 
 def clique_topology(n: int) -> dict[int, set[int]]:

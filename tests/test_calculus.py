@@ -318,6 +318,20 @@ def test_alignment_diagnostics_name_the_path():
     assert "fn:main#0" in str(caught.value)
 
 
+def test_sweep_fails_when_a_round_is_aborted():
+    """The runner logs and skips a misaligned round; the harness must not."""
+
+    @aggregate
+    def sends_twice():
+        engine = current_engine()
+        engine.send(1)
+        engine.send(2)
+
+    network = SweepNetwork(clique_topology(2))
+    with pytest.raises(AssertionError, match="2 round\\(s\\) aborted"):
+        network.sweep(sends_twice)
+
+
 def test_rep_nbr_composition_matches_hand_computed_fixpoint():
     """A maximum gossiped via remember + neighbors, traced sweep by sweep.
 

@@ -298,3 +298,17 @@ def test_cli_eager_flag_matches_lazy_trace(tmp_path):
     assert main(args + ["--out", str(lazy_trace)]) == 0
     assert main(args + ["--out", str(eager_trace), "--eager"]) == 0
     assert lazy_trace.read_bytes() == eager_trace.read_bytes()
+
+
+def test_every_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
+    args = ["run", "gossip-max", "--rows", "3", "--cols", "3", "--duration", "1"]
+    assert main(args) == 0
+    assert "wire bytes" not in capsys.readouterr().out
+    assert main(args + ["--wire-stats"]) == 0
+    assert "wire bytes" in capsys.readouterr().out
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text("wire_stats=1\neager=yes\n")
+    assert main(args + ["--config", str(config_file)]) == 0
+    assert "wire bytes" in capsys.readouterr().out
+    config_file.write_text("rows=three\n")
+    assert main(args + ["--config", str(config_file)]) == 2
