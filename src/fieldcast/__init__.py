@@ -30,7 +30,6 @@ from .errors import (
     UsageError,
 )
 from .fields import NeighborhoodField, foldhood
-from .values import UNCHANGED
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "NodeContext",
     "ScopeToken",
     "StateHandle",
-    "UNCHANGED",
     "UsageError",
     "activate",
     "aggregate",

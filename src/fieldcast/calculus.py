@@ -68,8 +68,7 @@ class StateHandle:
     """Setter for one state slot; calling it stages the next-round value.
 
     ``current`` is the slot's round-start value: staged writes only become
-    visible next round, and lazy transmission always ships the round-start
-    value.
+    visible next round.
     """
 
     __slots__ = ("_engine", "path")
@@ -109,14 +108,12 @@ def neighbors(value: Any) -> NeighborhoodField:
 
     The local device is always part of the returned field, mapped to the
     value sent this round.  Passing a `StateHandle` shares the slot's
-    round-start value lazily: while it is unchanged the export carries an
-    unchanged-marker instead of the value.
+    round-start value.
     """
     engine = current_engine()
-    lazy = isinstance(value, StateHandle)
-    payload = value.current if lazy else value
+    payload = value.current if isinstance(value, StateHandle) else value
     with _scope(engine, KIND_OPERATOR, "neighbors"):
-        engine.send(payload, lazy=lazy)
+        engine.send(payload)
         return engine.neighbor_values()
 
 
@@ -128,14 +125,13 @@ def share(initial: Any, update: Callable[[NeighborhoodField], Any]) -> Any:
     (``initial`` on the first round) -- and returns the new value, which is
     immediately shared.  Because the updated value is what travels,
     information advances one hop per round; the building-block library is
-    built on this.  Transmission is lazy: an unchanged value degrades to an
-    unchanged-marker on the wire.
+    built on this.
     """
     engine = current_engine()
     with _scope(engine, KIND_OPERATOR, "share"):
         field = engine.receive(initial)
         value = update(field)
-        engine.send(value, lazy=True)
+        engine.send(value)
     return value
 
 

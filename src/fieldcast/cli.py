@@ -4,14 +4,13 @@ Usage:
     fieldcast list
     fieldcast run <scenario> [--rows N --cols N --n N --spacing X --noise X
                               --radius X --dt X --duration X --seed N
-                              --out trace.csv --frames dir --check --eager
+                              --out trace.csv --frames dir --check
                               --wire-stats --config file ...scenario flags]
 
 Every ``ScenarioConfig`` field but ``scenario`` is both a flag (``--name-with-
-dashes``) and a ``--config`` key; ``--eager`` and the key ``eager`` set
-``lazy`` to false.  ``--check`` runs the scenario's built-in oracle and exits
-nonzero when any check fails.  ``--config`` reads flat ``key=value`` lines;
-explicit flags override file values.
+dashes``) and a ``--config`` key.  ``--check`` runs the scenario's built-in
+oracle and exits nonzero when any check fails.  ``--config`` reads flat
+``key=value`` lines; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -53,12 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("scenario", choices=sorted(SCENARIOS))
     runner.add_argument("--config", type=str, default=None, help="key=value config file")
     for name, parse in _CONFIG_KEYS.items():
-        if name == "lazy":
-            runner.add_argument(
-                "--eager", dest="lazy", action="store_false", default=None,
-                help="disable lazy transmission of state values",
-            )
-        elif parse is _parse_bool:
+        if parse is _parse_bool:
             runner.add_argument(f"--{name.replace('_', '-')}", action="store_true", default=None)
         else:
             runner.add_argument(f"--{name.replace('_', '-')}", type=parse, default=None)
@@ -77,9 +71,7 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key == "eager":
-            values["lazy"] = not _parse_bool(value)
-        elif key in _CONFIG_KEYS:
+        if key in _CONFIG_KEYS:
             try:
                 values[key] = _CONFIG_KEYS[key](value)
             except ValueError as error:

@@ -2,11 +2,12 @@
 
 One `Engine` instance services exactly one node round at a time.  During a
 round it tracks the alignment path (the sequence of scope tokens naming the
-current program point), hands out state slots keyed by that path, resolves the
+current program point), hands out state slots keyed by that path, reads the
 neighbors' inbound exports, and assembles the outbound export.  Two devices
 exchange a value at a program point only when their token sequences match
 exactly; everything else is misalignment and simply drops out of the
-neighborhood field.
+neighborhood field.  Every export carries full values, so a receiver keeps no
+memory of earlier exports.
 
 Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
 ``cooldown()`` returning ``(new_state, export)``.  Alignment violations
@@ -19,17 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Mapping, NamedTuple
 
-from .errors import AlignmentError, UsageError
+from .errors import AlignmentError, EncodingError, UsageError
 from .fields import NeighborhoodField
-from .values import UNCHANGED, decode_value, encode_value, read_uvarint, write_uvarint
+from .values import decode_value, encode_value, read_uvarint, write_uvarint
 
 KIND_FUNCTION = "fn"
 KIND_OPERATOR = "op"
 KIND_BRANCH_LEFT = "left"
 KIND_BRANCH_RIGHT = "right"
 
-_KIND_CODES = {KIND_FUNCTION: 0, KIND_OPERATOR: 1, KIND_BRANCH_LEFT: 2, KIND_BRANCH_RIGHT: 3}
-_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
+_KINDS = (KIND_FUNCTION, KIND_OPERATOR, KIND_BRANCH_LEFT, KIND_BRANCH_RIGHT)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 _MISSING = object()
 
@@ -77,28 +78,19 @@ class EngineState:
     """Everything a node persists between rounds.
 
     ``slots`` holds the state values visited in the most recent round (paths
-    not visited are garbage-collected at cooldown).  ``last_sent`` caches the
-    previous value of every lazily-exported path, so the sender can emit an
-    unchanged-marker instead of the value.  ``neighbor_cache`` is the
-    receiver-side complement: the last resolved export of each neighbor, used
-    to replace incoming markers.
+    not visited are garbage-collected at cooldown).
     """
 
     slots: dict = dataclass_field(default_factory=dict)
-    last_sent: dict = dataclass_field(default_factory=dict)
-    neighbor_cache: dict = dataclass_field(default_factory=dict)
-
-    @classmethod
-    def empty(cls) -> "EngineState":
-        return cls()
 
 
 class Export:
     """A node's per-round outbound message: alignment path -> value.
 
-    Entries may hold the UNCHANGED marker for lazily-sent paths; a receiver
-    that cached the previous value restores it, one that never saw the value
-    (first contact) treats the entry as absent for that round.
+    Every export carries full values.  On the wire, each entry's path is coded
+    against the previous entry's: how many leading tokens both share, how many
+    new tokens follow, and each new token as the varint ``occurrence << 2 |
+    kind code`` followed by its name.  The entry's value comes next.
     """
 
     __slots__ = ("entries",)
@@ -126,42 +118,50 @@ class Export:
     def to_bytes(self) -> bytes:
         out = bytearray()
         write_uvarint(out, len(self.entries))
+        previous: tuple = ()
         for path, value in self.entries.items():
-            write_uvarint(out, len(path))
-            for token in path:
-                out.append(_KIND_CODES[token.kind])
+            shared = 0
+            limit = min(len(path), len(previous))
+            while shared < limit and path[shared] == previous[shared]:
+                shared += 1
+            write_uvarint(out, shared)
+            write_uvarint(out, len(path) - shared)
+            for token in path[shared:]:
+                write_uvarint(out, token.occurrence << 2 | _KIND_CODES[token.kind])
                 encode_value(token.name, out)
-                write_uvarint(out, token.occurrence)
             encode_value(value, out)
+            previous = path
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Export":
+        """Decode ``to_bytes`` output; malformed input raises `EncodingError`."""
         entries: dict = {}
+        previous: tuple = ()
         count, pos = read_uvarint(raw, 0)
         for _ in range(count):
-            length, pos = read_uvarint(raw, pos)
-            tokens = []
-            for _ in range(length):
-                kind = _KIND_NAMES[raw[pos]]
-                pos += 1
+            shared, pos = read_uvarint(raw, pos)
+            if shared > len(previous):
+                raise EncodingError(f"path shares {shared} tokens with a path of {len(previous)}")
+            fresh, pos = read_uvarint(raw, pos)
+            tokens = list(previous[:shared])
+            for _ in range(fresh):
+                packed, pos = read_uvarint(raw, pos)
                 name, pos = decode_value(raw, pos)
-                occurrence, pos = read_uvarint(raw, pos)
-                tokens.append(ScopeToken(kind, name, occurrence))
-            value, pos = decode_value(raw, pos)
-            entries[tuple(tokens)] = value
+                if name is not None and type(name) is not str:
+                    raise EncodingError(f"token name of type {type(name).__name__}")
+                tokens.append(ScopeToken(_KINDS[packed & 3], name, packed >> 2))
+            previous = tuple(tokens)
+            entries[previous], pos = decode_value(raw, pos)
+        if pos != len(raw):
+            raise EncodingError(f"{len(raw) - pos} trailing bytes after the last entry")
         return cls(entries)
 
 
 class Engine:
-    """Executes one aggregate round; never enter a single instance concurrently.
+    """Executes one aggregate round; never enter a single instance concurrently."""
 
-    ``lazy=False`` disables unchanged-markers entirely (eager mode): exports
-    always carry full values. Both modes compute identical results.
-    """
-
-    def __init__(self, lazy: bool = True, max_depth: int = 128):
-        self.lazy = lazy
+    def __init__(self, max_depth: int = 128):
         self.max_depth = max_depth
         self._active = False
         self.context: NodeContext | None = None
@@ -174,20 +174,17 @@ class Engine:
         inbound: Mapping[int, Export] | None = None,
         state: EngineState | None = None,
     ) -> None:
-        """Begin a round: resolve inbound exports and reset the path."""
+        """Begin a round: take the inbound exports and reset the path."""
         if self._active:
             raise UsageError("setup called while a round is in progress")
-        previous = state if state is not None else EngineState.empty()
         self.context = context
-        self._prev_slots = previous.slots
-        self._prev_last_sent = previous.last_sent
-        self._resolved = _resolve_inbound(inbound or {}, previous.neighbor_cache)
+        self._prev_slots = state.slots if state is not None else {}
+        self._inbound = {sender: export.entries for sender, export in (inbound or {}).items()}
         self._path: AlignmentPath = ()
         self._counters: list[dict] = [{}]
         self._slots: dict = {}
         self._slot_current: dict = {}
         self._export: dict = {}
-        self._lazy_paths: set = set()
         self.staged_actuations: dict[str, Any] = {}
         self._active = True
 
@@ -196,18 +193,8 @@ class Engine:
         self._require_active()
         if self._path:
             raise AlignmentError(self._path, "round ended with unbalanced enter/exit")
-        entries: dict = {}
-        new_last_sent: dict = {}
-        for path, value in self._export.items():
-            if path in self._lazy_paths:
-                new_last_sent[path] = value
-                previous = self._prev_last_sent.get(path, _MISSING)
-                if previous is not _MISSING and previous == value:
-                    entries[path] = UNCHANGED
-                    continue
-            entries[path] = value
-        state = EngineState(self._slots, new_last_sent, self._resolved)
-        export = Export(entries)
+        state = EngineState(self._slots)
+        export = Export(self._export)
         self._reset()
         return state, export
 
@@ -218,9 +205,8 @@ class Engine:
     def _reset(self) -> None:
         self._active = False
         self.context = None
-        self._resolved = {}
+        self._inbound = {}
         self._prev_slots = {}
-        self._prev_last_sent = {}
 
     def _require_active(self) -> None:
         if not self._active:
@@ -300,15 +286,13 @@ class Engine:
 
     # -- exchange ----------------------------------------------------------
 
-    def send(self, value: Any, lazy: bool = False) -> None:
+    def send(self, value: Any) -> None:
         """Stage ``value`` into the export at the current path."""
         self._require_active()
         path = self._path
         if path in self._export:
             raise AlignmentError(path, "export path used twice in one round")
         self._export[path] = value
-        if lazy and self.lazy:
-            self._lazy_paths.add(path)
 
     def neighbor_values(self) -> NeighborhoodField:
         """Field of the values aligned neighbors shared at the current path.
@@ -321,7 +305,7 @@ class Engine:
         path = self._path
         own_id = self.context.device_id
         values = {}
-        for neighbor_id, entries in self._resolved.items():
+        for neighbor_id, entries in self._inbound.items():
             if neighbor_id == own_id:
                 continue
             if path in entries:
@@ -342,7 +326,7 @@ class Engine:
         path = self._path
         own_id = self.context.device_id
         values = {}
-        for neighbor_id, entries in self._resolved.items():
+        for neighbor_id, entries in self._inbound.items():
             if path in entries:
                 values[neighbor_id] = entries[path]
         if own_id not in values and initial is not _MISSING:
@@ -354,24 +338,3 @@ class Engine:
     def stage_actuation(self, name: str, value: Any) -> None:
         self._require_active()
         self.staged_actuations[name] = value
-
-
-def _resolve_inbound(inbound: Mapping[int, Export], cache: dict) -> dict:
-    """Replace unchanged-markers with the receiver-side cached values.
-
-    A marker with no cached value (first contact with that neighbor) makes the
-    entry absent for this round; the neighbor re-enters the field once it
-    sends a full value again.
-    """
-    resolved = {}
-    for neighbor_id, export in inbound.items():
-        cached = cache.get(neighbor_id)
-        entries = {}
-        for path, value in export.entries.items():
-            if value is UNCHANGED:
-                if cached is not None and path in cached:
-                    entries[path] = cached[path]
-            else:
-                entries[path] = value
-        resolved[neighbor_id] = entries
-    return resolved

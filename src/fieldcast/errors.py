@@ -44,7 +44,7 @@ class EmptyFieldError(AggregateError):
 
 
 class EncodingError(AggregateError, ValueError):
-    """A value cannot be represented in the wire encoding."""
+    """A value has no wire form, or bytes are not a valid wire encoding."""
 
 
 def format_path(path) -> str:

@@ -41,7 +41,6 @@ class ScenarioConfig:
     frames: str | None = None
     frame_interval: float = 1.0
     check: bool = False
-    lazy: bool = True
     wire_stats: bool = False  # count encoded export bytes during the run
     # scenario-specific knobs
     width: float | None = None  # channel
@@ -98,7 +97,7 @@ class RunResult:
 
 def build_lattice_simulator(config: ScenarioConfig) -> Simulator:
     """Deformed-lattice deployment with a radius topology, ready to schedule."""
-    simulator = Simulator(seed=config.seed, lazy=config.lazy)
+    simulator = Simulator(seed=config.seed)
     simulator.count_wire_bytes = config.wire_stats
     simulator.environment.set_neighborhood_function(radius_neighborhood(config.radius))
     deformed_lattice(simulator, config.rows, config.cols, config.spacing, config.noise)

@@ -69,7 +69,7 @@ def make_program(noise_amplitude: float):
 
 def build_simulator(config: ScenarioConfig) -> Simulator:
     if config.n > 0:
-        simulator = Simulator(seed=config.seed, lazy=config.lazy)
+        simulator = Simulator(seed=config.seed)
         simulator.count_wire_bytes = config.wire_stats
         simulator.environment.set_neighborhood_function(radius_neighborhood(config.radius))
         random_in_circle(simulator, config.n, config.spacing * math.sqrt(config.n))

@@ -33,11 +33,10 @@ def derive_seed(master: int, key) -> int:
 
 
 class Simulator:
-    def __init__(self, seed: int = 0, lazy: bool = True):
+    def __init__(self, seed: int = 0):
         self.environment = Environment()
         self.time = 0.0
         self.seed = seed
-        self.lazy = lazy
         self.monitors: list = []
         self.actuators: dict[str, Callable] = {}
         self.deploy_rng = random.Random(derive_seed(seed, "deploy"))
@@ -114,7 +113,7 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
             if export is not None:
                 inbound[neighbor_id] = export
         context = NodeContext(node.id, node.position, now, node.data, node.rng)
-        engine = Engine(lazy=simulator.lazy)
+        engine = Engine()
         try:
             with activate(engine):
                 engine.setup(context, inbound, node.state)

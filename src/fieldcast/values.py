@@ -27,29 +27,11 @@ _TAG_STR = 0x05
 _TAG_SEQ = 0x06
 _TAG_MAP = 0x07
 _TAG_VEC = 0x08
-_TAG_UNCHANGED = 0x09
 
 _REAL = struct.Struct(">d")
 
-
-class _UnchangedMarker:
-    """Placeholder for a lazily-sent export entry whose value did not change."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNCHANGED"
-
-    def __reduce__(self):
-        return (_UnchangedMarker, ())
-
-
-UNCHANGED = _UnchangedMarker()
+# Exports no longer carry unchanged-markers; the name stays for tools that count them.
+UNCHANGED = object()
 
 
 def write_uvarint(out: bytearray, n: int) -> None:
@@ -95,8 +77,6 @@ def encode_value(value: Any, out: bytearray) -> None:
         out.append(_TAG_TRUE)
     elif value is False:
         out.append(_TAG_FALSE)
-    elif value is UNCHANGED:
-        out.append(_TAG_UNCHANGED)
     elif isinstance(value, int):
         out.append(_TAG_INT)
         write_uvarint(out, _zigzag(value))
@@ -130,7 +110,14 @@ def encode_value(value: Any, out: bytearray) -> None:
 
 
 def decode_value(buf: bytes, pos: int = 0) -> tuple[Any, int]:
-    """Decode one value starting at ``pos``; returns (value, next position)."""
+    """Decode the value at ``pos`` into (value, next position), or raise `EncodingError`."""
+    try:
+        return _decode(buf, pos)
+    except RecursionError:
+        raise EncodingError("value nested too deeply") from None
+
+
+def _decode(buf: bytes, pos: int) -> tuple[Any, int]:
     if pos >= len(buf):
         raise EncodingError("truncated value")
     tag = buf[pos]
@@ -141,8 +128,6 @@ def decode_value(buf: bytes, pos: int = 0) -> tuple[Any, int]:
         return True, pos
     if tag == _TAG_FALSE:
         return False, pos
-    if tag == _TAG_UNCHANGED:
-        return UNCHANGED, pos
     if tag == _TAG_INT:
         raw, pos = read_uvarint(buf, pos)
         return _unzigzag(raw), pos
@@ -154,12 +139,15 @@ def decode_value(buf: bytes, pos: int = 0) -> tuple[Any, int]:
         length, pos = read_uvarint(buf, pos)
         if pos + length > len(buf):
             raise EncodingError("truncated string")
-        return buf[pos : pos + length].decode("utf-8"), pos + length
+        try:
+            return buf[pos : pos + length].decode("utf-8"), pos + length
+        except UnicodeDecodeError as error:
+            raise EncodingError(f"invalid UTF-8 in string: {error.reason}") from None
     if tag == _TAG_SEQ:
         count, pos = read_uvarint(buf, pos)
         items = []
         for _ in range(count):
-            item, pos = decode_value(buf, pos)
+            item, pos = _decode(buf, pos)
             items.append(item)
         return tuple(items), pos
     if tag == _TAG_VEC:
@@ -172,9 +160,12 @@ def decode_value(buf: bytes, pos: int = 0) -> tuple[Any, int]:
         count, pos = read_uvarint(buf, pos)
         mapping = {}
         for _ in range(count):
-            key, pos = decode_value(buf, pos)
-            item, pos = decode_value(buf, pos)
-            mapping[key] = item
+            key, pos = _decode(buf, pos)
+            item, pos = _decode(buf, pos)
+            try:
+                mapping[key] = item
+            except TypeError:
+                raise EncodingError(f"unhashable map key {key!r}") from None
         return mapping, pos
     raise EncodingError(f"unknown wire tag 0x{tag:02x}")
 

@@ -10,7 +10,17 @@ from contextlib import contextmanager
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fieldcast import Engine, NodeContext, activate, aggregate, branch, neighbors, remember, share
+from fieldcast import (
+    Engine,
+    Export,
+    NodeContext,
+    activate,
+    aggregate,
+    branch,
+    neighbors,
+    remember,
+    share,
+)
 from fieldcast.scenarios import SCENARIOS, ScenarioConfig
 from fieldcast.scenarios import channel, flocking, gossipmax, scr, sofl
 from fieldcast.scenarios import oracles
@@ -236,11 +246,11 @@ def test_criterion_7_sofl():
         assert min(purities) >= 0.9, f"purities {purities}"
 
 
-# -- 8. determinism and lazy transmission ------------------------------------------
+# -- 8. determinism and the wire ----------------------------------------------------
 
 
-def test_criterion_8_determinism_and_lazy_wire(tmp_path):
-    with criterion(8, "determinism-and-lazy-transmission"):
+def test_criterion_8_determinism_and_wire(tmp_path):
+    with criterion(8, "determinism-and-wire"):
         # byte-identical traces for equal seeds (stateful and mobile scenarios)
         for name, overrides in (
             ("channel", {"rows": 10, "cols": 10, "duration": 6.0}),
@@ -252,20 +262,16 @@ def test_criterion_8_determinism_and_lazy_wire(tmp_path):
             SCENARIOS[name].run(config_for(name, seed=3, out=str(second), **overrides))
             assert first.read_bytes() == second.read_bytes(), name
 
-        # lazy mode: identical trace, strictly fewer value bytes once static
-        overrides = {"rows": 10, "cols": 10, "duration": 6.0, "wire_stats": True}
-        lazy_trace = tmp_path / "lazy.csv"
-        eager_trace = tmp_path / "eager.csv"
-        lazy_run = channel.run(
-            config_for("channel", seed=0, out=str(lazy_trace), lazy=True, **overrides)
+        # wire: every final export round-trips, and self-contained exports
+        # with shared path prefixes stay below the 1,550,390 B that
+        # unchanged-markers sent for this run
+        wire_run = channel.run(
+            config_for("channel", seed=0, rows=10, cols=10, duration=6.0, wire_stats=True)
         )
-        eager_run = channel.run(
-            config_for("channel", seed=0, out=str(eager_trace), lazy=False, **overrides)
-        )
-        assert lazy_trace.read_bytes() == eager_trace.read_bytes()
-        lazy_bytes = lazy_run.simulator.wire_bytes
-        eager_bytes = eager_run.simulator.wire_bytes
-        assert lazy_bytes < eager_bytes, (lazy_bytes, eager_bytes)
+        for node in wire_run.simulator.environment.node_list():
+            assert Export.from_bytes(node.last_export.to_bytes()) == node.last_export
+        wire_bytes = wire_run.simulator.wire_bytes
+        assert wire_bytes < 1_550_390, wire_bytes
 
 
 # -- 9. generative engine property suite -------------------------------------------
@@ -309,8 +315,8 @@ class RecordingEngine(Engine):
         self.slot_log.append(path)
         return value, path
 
-    def send(self, value, lazy=False):
-        super().send(value, lazy)
+    def send(self, value):
+        super().send(value)
         self.send_log.append(self.path)
 
 

@@ -1,18 +1,25 @@
-"""Engine lifecycle, alignment, state slots, lazy transmission."""
+"""Engine lifecycle, alignment, state slots, exchange, export wire format."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from fieldcast import Engine, EngineState, Export, NodeContext, UNCHANGED
-from fieldcast.engine import KIND_FUNCTION, KIND_OPERATOR, ScopeToken
-from fieldcast.errors import AlignmentError, UsageError
+from fieldcast import Engine, EngineState, Export, NodeContext
+from fieldcast.engine import (
+    KIND_BRANCH_LEFT,
+    KIND_BRANCH_RIGHT,
+    KIND_FUNCTION,
+    KIND_OPERATOR,
+    ScopeToken,
+)
+from fieldcast.errors import AlignmentError, EncodingError, UsageError
 
 
 def ctx(device_id=0, time=0.0, sensors=None):
     return NodeContext(device_id, (0.0, 0.0), time, sensors or {})
 
 
-def fresh(inbound=None, state=None, device_id=0, lazy=True):
-    engine = Engine(lazy=lazy)
+def fresh(inbound=None, state=None, device_id=0):
+    engine = Engine()
     engine.setup(ctx(device_id), inbound or {}, state)
     return engine
 
@@ -263,72 +270,6 @@ def test_receive_falls_back_to_initial():
     assert len(engine.receive()) == 0
 
 
-# -- lazy transmission ----------------------------------------------------------
-
-
-def run_lazy_round(engine, state, inbound, value):
-    engine.setup(ctx(1), inbound, state)
-    engine.send(value, lazy=True)
-    return engine.cooldown()
-
-
-def test_lazy_send_emits_marker_when_unchanged():
-    engine = Engine()
-    state, export1 = run_lazy_round(engine, None, {}, "same")
-    assert export1.entries[()] == "same"
-    state, export2 = run_lazy_round(engine, state, {}, "same")
-    assert export2.entries[()] is UNCHANGED
-    state, export3 = run_lazy_round(engine, state, {}, "changed")
-    assert export3.entries[()] == "changed"
-
-
-def test_eager_mode_never_emits_markers():
-    engine = Engine(lazy=False)
-    state, _ = run_lazy_round(engine, None, {}, "same")
-    _, export = run_lazy_round(engine, state, {}, "same")
-    assert export.entries[()] == "same"
-
-
-def test_receiver_resolves_marker_from_cache():
-    sender = Engine()
-    receiver = Engine()
-    state_s, export1 = run_lazy_round(sender, None, {}, 42)
-
-    receiver.setup(ctx(0), {1: export1}, None)
-    assert receiver.receive().get(1) == 42
-    state_r, _ = receiver.cooldown()
-
-    _, export2 = run_lazy_round(sender, state_s, {}, 42)
-    assert export2.entries[()] is UNCHANGED
-    receiver.setup(ctx(0), {1: export2}, state_r)
-    assert receiver.receive().get(1) == 42  # reconstructed from cache
-
-
-def test_marker_without_cache_drops_entry():
-    sender = Engine()
-    state_s, _ = run_lazy_round(sender, None, {}, 42)
-    _, export2 = run_lazy_round(sender, state_s, {}, 42)
-
-    receiver = Engine()
-    receiver.setup(ctx(0), {1: export2}, None)  # first contact sees only a marker
-    assert 1 not in receiver.receive()
-
-
-def test_lazy_receiver_view_matches_eager_exports():
-    """Resolving markers reconstructs exactly what eager mode would send."""
-    lazy_sender, eager_sender = Engine(lazy=True), Engine(lazy=False)
-    receiver = Engine()
-    lazy_state = eager_state = receiver_state = None
-    values = [1, 1, 1, 2, 2, 1]
-    for value in values:
-        lazy_state, lazy_export = run_lazy_round(lazy_sender, lazy_state, {}, value)
-        eager_state, eager_export = run_lazy_round(eager_sender, eager_state, {}, value)
-        receiver.setup(ctx(0), {1: lazy_export}, receiver_state)
-        resolved = receiver.receive().get(1)
-        receiver_state, _ = receiver.cooldown()
-        assert resolved == eager_export.entries[()]
-
-
 # -- determinism ----------------------------------------------------------------
 
 
@@ -342,7 +283,7 @@ def test_identical_inputs_identical_outputs():
         _, export = sender.cooldown()
 
         engine = Engine()
-        state = EngineState({(): 7}, {}, {})
+        state = EngineState({(): 7})
         engine.setup(ctx(1, time=3.0), {2: export}, state)
         value, key = engine.write_slot(0)
         engine.set_slot(key, value + 1)
@@ -360,8 +301,114 @@ def test_export_wire_roundtrip():
     engine = fresh()
     engine.enter(KIND_FUNCTION, "main")
     engine.enter(KIND_OPERATOR, "neighbors")
-    engine.send((1.0, 2.0), lazy=True)
+    engine.send((1.0, 2.0))
     engine.exit()
     engine.exit()
     _, export = engine.cooldown()
     assert Export.from_bytes(export.to_bytes()) == export
+
+
+# -- wire format ----------------------------------------------------------------
+
+MAIN = ScopeToken(KIND_FUNCTION, "main", 0)
+
+
+def test_export_bytes_code_each_path_against_the_previous_one():
+    export = Export(
+        {
+            (MAIN, ScopeToken(KIND_OPERATOR, "neighbors", 0)): (1.0, 2.0),
+            (MAIN, ScopeToken(KIND_OPERATOR, "share", 0)): 3,
+        }
+    )
+    assert export.to_bytes() == bytes.fromhex(
+        "02"  # two entries
+        "00" "02"  # shares no token with the empty path, two new tokens
+        "00" "05046d61696e"  # occurrence 0 << 2 | fn, "main"
+        "01" "05096e65696768626f7273"  # occurrence 0 << 2 | op, "neighbors"
+        "0802" "3ff0000000000000" "4000000000000000"  # (1.0, 2.0)
+        "01" "01"  # shares fn main, one new token
+        "01" "05057368617265"  # occurrence 0 << 2 | op, "share"
+        "0306"  # 3
+    )
+    assert len(export.to_bytes()) == 52
+
+
+occurrences = st.integers(0, 300)  # from 32 on, a packed token takes two bytes
+tokens = st.one_of(
+    st.builds(
+        ScopeToken, st.sampled_from([KIND_FUNCTION, KIND_OPERATOR]), st.text(max_size=6), occurrences
+    ),
+    st.builds(
+        ScopeToken, st.sampled_from([KIND_BRANCH_LEFT, KIND_BRANCH_RIGHT]), st.none(), occurrences
+    ),
+)
+
+wire_values = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+)
+
+
+@st.composite
+def exports(draw):
+    """Exports whose paths often share a prefix with the previous entry's."""
+    entries: dict = {}
+    previous: tuple = ()
+    for _ in range(draw(st.integers(0, 6))):
+        shared = draw(st.integers(0, len(previous)))
+        path = previous[:shared] + tuple(draw(st.lists(tokens, max_size=3)))
+        if path not in entries:
+            entries[path] = draw(wire_values)
+            previous = path
+    return Export(entries)
+
+
+DEEP = (MAIN, ScopeToken(KIND_BRANCH_LEFT, None, 40), ScopeToken(KIND_OPERATOR, "share", 0))
+
+
+@given(exports())
+# the empty path; a branch token with no name whose packed varint takes two
+# bytes (occurrence >= 32); a path that is a prefix of the previous one
+@example(Export({(): None, DEEP: 1.5, DEEP[:2]: "x", DEEP[:1]: (0.5, -0.0)}))
+def test_export_wire_roundtrip_keeps_every_path_and_the_order(export):
+    decoded = Export.from_bytes(export.to_bytes())
+    assert list(decoded.entries.items()) == list(export.entries.items())
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [
+        # one entry: shares 0, one new token fn #0 whose name is b"\xff"
+        (bytes.fromhex("0100010005" "01ff" "00"), "invalid UTF-8"),
+        # one entry at the empty path whose value is the map {{}: None}
+        (bytes.fromhex("010000" "0701070000"), "unhashable map key"),
+        # one entry: a token named by the integer 1
+        (bytes.fromhex("01000100" "0302" "00"), "token name of type int"),
+        # the first entry claims to share one token with the empty path
+        (bytes.fromhex("01010000"), "shares 1 tokens with a path of 0"),
+        # a complete one-entry export followed by one more byte
+        (bytes.fromhex("01000000" "ff"), "1 trailing bytes"),
+        # a value nested 5000 sequences deep
+        (bytes.fromhex("010000" + "0601" * 5000 + "00"), "nested too deeply"),
+    ],
+    ids=["utf8", "unhashable-key", "name-type", "shared-prefix", "trailing", "nesting"],
+)
+def test_malformed_export_raises_encoding_error(raw, reason):
+    with pytest.raises(EncodingError, match=reason):
+        Export.from_bytes(raw)
+
+
+@given(st.binary(max_size=64))
+@example(bytes.fromhex("02020627"))
+@example(bytes.fromhex("0809"))
+@example(bytes.fromhex("0508e60bed830279044f0309026034344d040637"))
+@example(bytes.fromhex("070b070a0700000806fa044e04bf"))
+def test_export_from_any_bytes_decodes_or_raises_encoding_error(raw):
+    try:
+        decoded = Export.from_bytes(raw)
+    except EncodingError:
+        return
+    assert isinstance(decoded, Export)

@@ -292,14 +292,6 @@ def test_cli_same_seed_identical_traces(tmp_path):
     assert trace_a.read_bytes() == trace_b.read_bytes()
 
 
-def test_cli_eager_flag_matches_lazy_trace(tmp_path):
-    args = ["run", "channel", "--rows", "6", "--cols", "6", "--duration", "4"]
-    lazy_trace, eager_trace = tmp_path / "lazy.csv", tmp_path / "eager.csv"
-    assert main(args + ["--out", str(lazy_trace)]) == 0
-    assert main(args + ["--out", str(eager_trace), "--eager"]) == 0
-    assert lazy_trace.read_bytes() == eager_trace.read_bytes()
-
-
 def test_every_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
     args = ["run", "gossip-max", "--rows", "3", "--cols", "3", "--duration", "1"]
     assert main(args) == 0
@@ -307,7 +299,7 @@ def test_every_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
     assert main(args + ["--wire-stats"]) == 0
     assert "wire bytes" in capsys.readouterr().out
     config_file = tmp_path / "run.cfg"
-    config_file.write_text("wire_stats=1\neager=yes\n")
+    config_file.write_text("wire_stats=1\n")
     assert main(args + ["--config", str(config_file)]) == 0
     assert "wire bytes" in capsys.readouterr().out
     config_file.write_text("rows=three\n")

@@ -379,13 +379,7 @@ def test_mobility_reshapes_topology():
     assert distance_at_end > 0.6
 
 
-# -- lazy transmission under faults -------------------------------------------
-
-# Unchanged-markers assume the receiver saw the sender's previous export; a
-# node that joins late or misses an export restores a stale value or none.
-LAZY_ASSUMES_DELIVERY = pytest.mark.xfail(
-    strict=True, reason="lazy markers assume the previous export was received"
-)
+# -- self-stabilization under faults ------------------------------------------
 
 
 @aggregate
@@ -393,9 +387,9 @@ def gradient():
     return distance_to(sense("source"), neighbors_distances())
 
 
-def gradient_line(n, lazy):
+def gradient_line(n):
     """Nodes 1.0 apart along x, radius 1.5, source at node 0."""
-    sim = Simulator(lazy=lazy)
+    sim = Simulator()
     sim.environment.set_neighborhood_function(radius_neighborhood(1.5))
     for i in range(n):
         sim.add_node((float(i), 0.0), {"source": i == 0})
@@ -403,9 +397,9 @@ def gradient_line(n, lazy):
     return sim
 
 
-def late_join(lazy):
+def late_join():
     """A sixth node joins the converged line of five at x = 5."""
-    sim = gradient_line(5, lazy)
+    sim = gradient_line(5)
     sim.run(20)
     joiner = sim.add_node((5.0, 0.0), {"source": False})
     sim.schedule_event(sim.time + 1.0, aggregate_program_runner, sim, 1.0, joiner, gradient)
@@ -413,9 +407,9 @@ def late_join(lazy):
     return [node.result for node in sim.environment.node_list()]
 
 
-def missed_export(lazy):
+def missed_export():
     """Node 4 sleeps through the source moving from node 0 to node 5."""
-    sim = gradient_line(6, lazy)
+    sim = gradient_line(6)
     sim.run(20)
     nodes = sim.environment.node_list()
     nodes[4].suppressed = True
@@ -427,22 +421,12 @@ def missed_export(lazy):
     return [node.result for node in nodes]
 
 
-def test_late_join_eager_reaches_the_oracle():
-    assert late_join(lazy=False) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+def test_late_join_reaches_the_oracle():
+    assert late_join() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-@LAZY_ASSUMES_DELIVERY
-def test_late_join_lazy_matches_eager():
-    assert late_join(lazy=True) == late_join(lazy=False)
-
-
-def test_missed_export_eager_reaches_the_oracle():
-    assert missed_export(lazy=False) == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
-
-
-@LAZY_ASSUMES_DELIVERY
-def test_missed_export_lazy_matches_eager():
-    assert missed_export(lazy=True) == missed_export(lazy=False)
+def test_missed_export_reaches_the_oracle():
+    assert missed_export() == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
 
 
 # -- monitors and output ----------------------------------------------------------

@@ -3,10 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fieldcast.errors import EncodingError
-from fieldcast.values import UNCHANGED, decode_value, encoded
+from fieldcast.values import decode_value, encoded
 
 
 def roundtrip(value):
@@ -57,10 +57,6 @@ def test_special_floats():
     assert math.isnan(roundtrip(math.nan))
 
 
-def test_unchanged_marker_roundtrips_as_singleton():
-    assert roundtrip(UNCHANGED) is UNCHANGED
-
-
 def test_sequences_decode_as_tuples():
     assert roundtrip([1, 2, [3]]) == (1, 2, (3,))
 
@@ -80,3 +76,13 @@ def test_truncated_input_raises():
     raw = encoded("hello")
     with pytest.raises(EncodingError):
         decode_value(raw[:-1])
+
+
+@given(st.binary(max_size=64))
+@example(bytes.fromhex("0508e60bed830279044f0309026034344d040637"))  # invalid UTF-8
+@example(bytes.fromhex("070b070a0700000806fa044e04bf"))  # unhashable map key
+def test_decode_any_bytes_returns_a_value_or_raises_encoding_error(raw):
+    try:
+        decode_value(raw)
+    except EncodingError:
+        pass
