@@ -102,7 +102,8 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
     program through a fresh engine, publishes the new state and export, and
     applies staged actuations.  An alignment error is logged and skips this
     round's updates; the node keeps its previous state and export and still
-    reschedules.
+    reschedules.  Any other exception from the program is logged with the node
+    and time, then propagates unchanged and ends the run.
     """
     env = simulator.environment
     now = simulator.time
@@ -122,6 +123,9 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
         except AlignmentError as error:
             log.warning("node %s round at t=%.6f aborted: %s", node.id, now, error)
             engine.abort()
+        except Exception as error:
+            log.error("node %s round at t=%.6f crashed: %r", node.id, now, error)
+            raise
         else:
             node.state = new_state
             node.result = result

@@ -2,13 +2,16 @@
 
 A neighborhood function maps (environment, node) to the ids a node can hear;
 it never includes the node's own id (self-inclusion in fields is the
-engine's business).  Neighborhoods are recomputed whenever positions change,
-so mobile deployments reshape the topology naturally; results are memoized
-between changes.
+engine's business).  Each node's neighbor set is memoized until the next
+move, so a query made after a move always sees it and mobile deployments
+reshape the topology naturally.  The radius grid behind
+``radius_neighborhood`` is built once per radius and updated in place on each
+move: the moved id changes cell, and no other node is re-bucketed.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Iterable
 
@@ -23,7 +26,10 @@ class Environment:
         self.nodes: dict[int, Node] = {}
         self.neighborhood_fn: NeighborhoodFn = full_neighborhood()
         self._neighbor_memo: dict[int, tuple[int, ...]] = {}
-        self._grid_memo: tuple[float, dict] | None = None
+        # Radius grid: cell side (None until first built), cell -> ids, id -> cell.
+        self._grid_side: float | None = None
+        self._grid: dict[tuple[int, int], set[int]] = {}
+        self._grid_cell: dict[int, tuple[int, int]] = {}
         self._next_id = 0
 
     # -- population ----------------------------------------------------------
@@ -39,8 +45,20 @@ class Environment:
         return [self.nodes[i] for i in sorted(self.nodes)]
 
     def move_node(self, node: Node, position) -> None:
-        node.position = tuple(position)
-        self._invalidate()
+        node.position = position = tuple(position)
+        if self._neighbor_memo:
+            self._neighbor_memo = {}
+        side = self._grid_side
+        if side is not None:
+            cell = _cell(position, side)
+            old = self._grid_cell[node.id]
+            if cell != old:
+                bucket = self._grid[old]
+                bucket.discard(node.id)
+                if not bucket:
+                    del self._grid[old]
+                self._grid.setdefault(cell, set()).add(node.id)
+                self._grid_cell[node.id] = cell
 
     def set_neighborhood_function(self, fn: NeighborhoodFn) -> None:
         self.neighborhood_fn = fn
@@ -49,7 +67,7 @@ class Environment:
     def _invalidate(self) -> None:
         if self._neighbor_memo:
             self._neighbor_memo = {}
-        self._grid_memo = None
+        self._grid_side = None
 
     # -- topology ----------------------------------------------------------
 
@@ -63,15 +81,26 @@ class Environment:
         return ids
 
     def _radius_grid(self, radius: float) -> dict:
-        """Bucket node ids into cells of side ``radius`` (rebuilt on change)."""
-        if self._grid_memo is not None and self._grid_memo[0] == radius:
-            return self._grid_memo[1]
-        grid: dict[tuple[int, int], list[int]] = {}
+        """Node ids bucketed into cells of side ``radius``.
+
+        Built when there is no grid or its side differs from ``radius``;
+        ``move_node`` keeps it current afterwards.
+        """
+        if self._grid_side == radius:
+            return self._grid
+        grid: dict[tuple[int, int], set[int]] = {}
+        cells: dict[int, tuple[int, int]] = {}
         for node in self.nodes.values():
-            cell = (int(node.position[0] // radius), int(node.position[1] // radius))
-            grid.setdefault(cell, []).append(node.id)
-        self._grid_memo = (radius, grid)
+            cell = _cell(node.position, radius)
+            grid.setdefault(cell, set()).add(node.id)
+            cells[node.id] = cell
+        self._grid_side, self._grid, self._grid_cell = radius, grid, cells
         return grid
+
+
+def _cell(position, side: float) -> tuple[int, int]:
+    """The radius-grid cell holding ``position``."""
+    return int(position[0] // side), int(position[1] // side)
 
 
 def radius_neighborhood(radius: float) -> NeighborhoodFn:
@@ -84,7 +113,7 @@ def radius_neighborhood(radius: float) -> NeighborhoodFn:
             return []
         grid = env._radius_grid(radius)
         x, y = node.position
-        cx, cy = int(x // radius), int(y // radius)
+        cx, cy = _cell(node.position, radius)
         found = []
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
@@ -110,12 +139,15 @@ def k_nearest_neighbors(k: int) -> NeighborhoodFn:
 
     def fn(env: Environment, node: Node) -> list[int]:
         x, y = node.position
-        ranked = sorted(
-            (math.hypot(other.position[0] - x, other.position[1] - y), other.id)
-            for other in env.nodes.values()
-            if other.id != node.id
+        ranked = heapq.nsmallest(
+            k,
+            (
+                (math.hypot(other.position[0] - x, other.position[1] - y), other.id)
+                for other in env.nodes.values()
+                if other.id != node.id
+            ),
         )
-        return [other_id for _, other_id in ranked[:k]]
+        return [other_id for _, other_id in ranked]
 
     return fn
 

@@ -295,10 +295,11 @@ op_strategy = st.recursive(
 
 program_strategy = st.lists(op_strategy, max_size=5)
 
+# The conftest.py profile already drops deadlines and suppresses too_slow; an
+# explicit suppress list replaces the profile's, so extend it.
 generative = settings(
     max_examples=1000,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    suppress_health_check=[*settings.default.suppress_health_check, HealthCheck.data_too_large],
 )
 
 

@@ -1,12 +1,16 @@
 """Event queue, topologies, deployments, runner semantics, monitors."""
 
+import logging
 import math
+import random
 
 import pytest
 
 from fieldcast import aggregate, neighbors, remember
 from fieldcast.errors import DomainError
+from fieldcast.scenarios import oracles
 from fieldcast.stdlib import (
+    context_rng,
     distance_to,
     local_id,
     neighbors_distances,
@@ -105,18 +109,40 @@ def test_round_count_matches_horizon_over_period():
 # -- topologies ----------------------------------------------------------------
 
 
+def assert_radius_topology_exact(env, radius):
+    for node in env.node_list():
+        brute = {
+            other.id
+            for other in env.node_list()
+            if other.id != node.id and math.dist(node.position, other.position) <= radius
+        }
+        assert set(env.neighbor_ids(node)) == brute, node.id
+
+
 def test_radius_neighborhood_matches_brute_force():
     sim = Simulator(seed=3)
     random_in_circle(sim, 60, 1.0)
     sim.environment.set_neighborhood_function(radius_neighborhood(0.3))
     env = sim.environment
-    for node in env.node_list():
-        brute = {
-            other.id
-            for other in env.node_list()
-            if other.id != node.id and math.dist(node.position, other.position) <= 0.3
-        }
-        assert set(env.neighbor_ids(node)) == brute
+    assert_radius_topology_exact(env, 0.3)
+
+    # A seeded random walk: steps within a cell, across one border, and several
+    # cells at once, drifting through negative coordinates.  The grid is kept
+    # current move by move, so every query must still match brute force.
+    rng = random.Random(11)
+    radius = 0.3
+    for step in range(240):
+        node = env.nodes[rng.randrange(len(env.nodes))]
+        reach = rng.choice((0.05, 0.3, 1.2))
+        x, y = node.position
+        env.move_node(node, (x + rng.uniform(-reach, reach), y + rng.uniform(-reach, reach)))
+        if step == 80:
+            sim.add_node((-0.35, -0.61))
+        if step == 160:
+            radius = 0.45
+            env.set_neighborhood_function(radius_neighborhood(radius))
+        assert_radius_topology_exact(env, radius)
+    assert min(min(node.position) for node in env.node_list()) < -1.0
 
 
 def test_radius_neighborhood_on_lattice_excludes_diagonals():
@@ -148,6 +174,17 @@ def test_k_nearest_neighbors():
     assert env.neighbor_ids(env.nodes[1]) == ()
     env.set_neighborhood_function(k_nearest_neighbors(5))
     assert env.neighbor_ids(env.nodes[1]) == (0, 2)  # capped at n - 1
+
+
+def test_k_nearest_neighbors_breaks_ties_to_the_smaller_id():
+    sim = Simulator()
+    for position in ((0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
+        sim.add_node(position)
+    env = sim.environment
+    center = env.nodes[0]
+    for k, expected in ((1, (2,)), (2, (2, 3)), (3, (2, 3, 4)), (4, (1, 2, 3, 4))):
+        env.set_neighborhood_function(k_nearest_neighbors(k))
+        assert env.neighbor_ids(center) == expected
 
 
 def test_full_neighborhood():
@@ -262,6 +299,28 @@ def test_alignment_error_skips_round_but_keeps_node_alive():
     # node 0 loses the round where it misaligned (state update included),
     # then resumes from the last good state
     assert crashed == [0, 1, 2, 3, 4]
+
+
+def test_crashing_program_is_logged_with_node_and_time_then_raised(caplog):
+    @aggregate
+    def divides_by_its_id():
+        from fieldcast.stdlib import current_time
+
+        return 1 / local_id() if current_time() >= 0.2 else 0
+
+    sim = Simulator()
+    sim.add_node((0.0, 0.0))
+    sim.add_node((1.0, 0.0))
+    schedule_everywhere(sim, 0.1, divides_by_its_id)
+    with caplog.at_level(logging.ERROR, logger="fieldcast.simulator.core"):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            sim.run(1.0)
+
+    errors = [record for record in caplog.records if record.levelno == logging.ERROR]
+    assert len(errors) == 1
+    assert "node 0 round at t=0.200000" in errors[0].getMessage()
+    assert "ZeroDivisionError" in errors[0].getMessage()
+    assert sim.time == pytest.approx(0.2)
 
 
 def test_suppressed_node_skips_rounds():
@@ -427,6 +486,43 @@ def test_late_join_reaches_the_oracle():
 
 def test_missed_export_reaches_the_oracle():
     assert missed_export() == [5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+
+
+@aggregate
+def wandering_gradient():
+    if sense("moving"):
+        angle = context_rng().uniform(-math.pi, math.pi)
+        store_actuation("heading", (math.cos(angle), math.sin(angle)))
+    return gradient()
+
+
+def test_gradient_reaches_the_oracle_after_motion_stops():
+    """Nodes random-walk for 3 s, then stop; the gradient re-stabilizes."""
+    sim = Simulator(seed=3)
+    sim.environment.set_neighborhood_function(radius_neighborhood(0.5))
+    nodes = random_in_circle(sim, 40, 1.0)
+    for node in nodes:
+        node.data = {"source": node.id < 2, "moving": True}
+    sim.register_actuator("heading", motion_actuator(0.5, 0.1))
+    schedule_everywhere(sim, 0.1, wandering_gradient)
+    start = {node.id: node.position for node in nodes}
+    sim.run(3.0)
+    for node in nodes:
+        node.data["moving"] = False
+    sim.run(13.0)
+
+    def edges(positions):
+        graph = oracles.build_radius_graph(positions, 0.5)
+        return {(i, j) for i, adjacent in graph.items() for j in adjacent}
+
+    positions = {node.id: node.position for node in nodes}
+    assert edges(positions) != edges(start)  # motion reshaped the topology
+    reference = oracles.dijkstra(oracles.build_radius_graph(positions, 0.5), [0, 1])
+    # distance_to only counts up in a component without a source, never reaching
+    # the oracle's +inf, so the oracle applies to a connected deployment.
+    assert all(math.isfinite(distance) for distance in reference.values())
+    for node in nodes:
+        assert abs(node.result - reference[node.id]) <= 1e-9, node.id
 
 
 # -- monitors and output ----------------------------------------------------------
