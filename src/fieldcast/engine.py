@@ -212,10 +212,6 @@ class Engine:
         if not self._active:
             raise UsageError("no round in progress (call setup first)")
 
-    @property
-    def active(self) -> bool:
-        return self._active
-
     # -- alignment ----------------------------------------------------------
 
     @property

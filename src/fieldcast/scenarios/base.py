@@ -1,4 +1,20 @@
-"""Shared scenario plumbing: configuration, run results, common setup."""
+"""Scenario plumbing shared by every bundled experiment.
+
+A scenario module keeps only what is its own: ``DEFAULTS`` (the settings that
+differ from ``ScenarioConfig``), the node data, the program, the oracle checks
+and any extras.  The skeleton every scenario runs lives here once:
+
+* ``build_simulator`` validates the config and deploys the nodes under a
+  radius topology: ``n`` nodes uniformly in a disc of radius
+  ``spacing * sqrt(n)`` when ``n > 0``, a deformed ``rows`` x ``cols`` lattice
+  otherwise.
+* ``simulate`` attaches the monitors (a ``TraceRecorder``, one
+  ``StabilityTracker`` and the optional CSV trace and SVG frames), schedules
+  every node at t = 0, runs to ``duration`` and snapshots the final results
+  and positions into a ``RunResult``.  It is the one place a run passes
+  through, so run-wide instrumentation belongs here.
+* ``stability_check`` reads the run's tracker as the ``stabilized`` check.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +33,7 @@ from ..simulator import (
     aggregate_program_runner,
     deformed_lattice,
     radius_neighborhood,
+    random_in_circle,
 )
 
 # Window of identical per-node values that counts as a stabilized field.
@@ -50,13 +67,13 @@ class ScenarioConfig:
     model_dim: int = 4  # sofl
     learning_rate: float = 0.1  # sofl
     clusters: int = 2  # sofl
-    threshold: float | None = None  # sofl
+    threshold: float = 0.5  # sofl
 
     def validate(self) -> None:
         for name in ("spacing", "dt", "duration", "frame_interval"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        for name in ("noise", "radius"):
+        for name in ("n", "noise", "radius"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be non-negative")
         if self.duration < self.dt:
@@ -80,13 +97,15 @@ class CheckResult:
 
 @dataclass
 class RunResult:
-    """Outcome of a scenario run: final field values plus oracle verdicts."""
+    """Outcome of a scenario run: final field values, the run's monitors, oracle verdicts."""
 
     scenario: str
     config: ScenarioConfig
     simulator: Simulator
     results: dict[int, Any]
     positions: dict[int, tuple]
+    recorder: TraceRecorder
+    stability: StabilityTracker
     checks: list[CheckResult] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -95,45 +114,62 @@ class RunResult:
         return all(check.passed for check in self.checks)
 
 
-def build_lattice_simulator(config: ScenarioConfig) -> Simulator:
-    """Deformed-lattice deployment with a radius topology, ready to schedule."""
+def build_simulator(config: ScenarioConfig) -> Simulator:
+    """Validate ``config`` and deploy its nodes under a radius topology.
+
+    ``n > 0`` places ``n`` nodes uniformly in a disc of radius
+    ``spacing * sqrt(n)``; otherwise a deformed ``rows`` x ``cols`` lattice.
+    """
+    config.validate()
     simulator = Simulator(seed=config.seed)
     simulator.count_wire_bytes = config.wire_stats
     simulator.environment.set_neighborhood_function(radius_neighborhood(config.radius))
-    deformed_lattice(simulator, config.rows, config.cols, config.spacing, config.noise)
+    if config.n > 0:
+        random_in_circle(simulator, config.n, config.spacing * math.sqrt(config.n))
+    else:
+        deformed_lattice(simulator, config.rows, config.cols, config.spacing, config.noise)
     return simulator
 
 
-def schedule_all(simulator: Simulator, dt: float, program: Callable) -> None:
-    for node in simulator.environment.node_list():
-        simulator.schedule_event(0.0, aggregate_program_runner, simulator, dt, node, program)
+def simulate(
+    name: str,
+    config: ScenarioConfig,
+    simulator: Simulator,
+    program: Callable,
+    value_key: str | None = None,
+    stable_key: str | None = None,
+) -> RunResult:
+    """Monitor, schedule and run every node, then snapshot the outcome.
 
-
-def attach_output_monitors(
-    simulator: Simulator, config: ScenarioConfig, value_key: str | None
-) -> tuple[TraceRecorder, StabilityTracker]:
-    """Wire the standard monitors: recorder, stability, optional CSV/frames."""
+    ``value_key`` picks the traced value out of dict results for the CSV
+    trace and the frames; the stability tracker follows ``stable_key``, or
+    ``value_key`` when no ``stable_key`` is given.
+    """
     recorder = TraceRecorder()
-    stability = StabilityTracker(value_key, STABILITY_WINDOW)
+    stability = StabilityTracker(stable_key or value_key, STABILITY_WINDOW)
     simulator.attach_monitor(recorder)
     simulator.attach_monitor(stability)
     if config.out:
         simulator.attach_monitor(CsvTraceMonitor(Path(config.out), value_key))
     if config.frames:
         simulator.attach_monitor(FrameMonitor(Path(config.frames), config.frame_interval, value_key))
-    return recorder, stability
-
-
-def final_snapshot(simulator: Simulator) -> tuple[dict[int, Any], dict[int, tuple]]:
     nodes = simulator.environment.node_list()
-    return (
+    for node in nodes:
+        simulator.schedule_event(0.0, aggregate_program_runner, simulator, config.dt, node, program)
+    simulator.run(config.duration)
+    return RunResult(
+        name,
+        config,
+        simulator,
         {node.id: node.result for node in nodes},
         {node.id: node.position for node in nodes},
+        recorder,
+        stability,
     )
 
 
-def stability_check(stability: StabilityTracker, simulator: Simulator) -> CheckResult:
-    stable = stability.stabilized(simulator.environment)
+def stability_check(result: RunResult) -> CheckResult:
+    stable = result.stability.stabilized(result.simulator.environment)
     return CheckResult(
         "stabilized",
         stable,
@@ -141,7 +177,3 @@ def stability_check(stability: StabilityTracker, simulator: Simulator) -> CheckR
         if stable
         else "field still changing at end of run",
     )
-
-
-def lattice_diagonal(config: ScenarioConfig) -> float:
-    return math.hypot((config.rows - 1) * config.spacing, (config.cols - 1) * config.spacing)

@@ -13,18 +13,9 @@ import math
 from ..calculus import aggregate
 from ..stdlib import collect_or, distance_to, neighbors_distances, sense
 from . import oracles
-from .base import (
-    CheckResult,
-    RunResult,
-    ScenarioConfig,
-    attach_output_monitors,
-    build_lattice_simulator,
-    final_snapshot,
-    schedule_all,
-    stability_check,
-)
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
 
-DEFAULTS = {"rows": 20, "cols": 20, "spacing": 0.1, "noise": 0.01, "radius": 0.12}
+DEFAULTS: dict = {}
 
 
 def make_program(width: float):
@@ -40,25 +31,21 @@ def make_program(width: float):
 
 
 def run(config: ScenarioConfig) -> RunResult:
-    config.validate()
+    simulator = build_simulator(config)
     width = config.width if config.width is not None else 1.5 * config.spacing
-    simulator = build_lattice_simulator(config)
     nodes = simulator.environment.node_list()
     for node in nodes:
         node.data = {"source": False, "target": False}
     nodes[0].data["source"] = True
     nodes[-1].data["target"] = True
 
-    _, stability = attach_output_monitors(simulator, config, value_key=None)
-    schedule_all(simulator, config.dt, make_program(width))
-    simulator.run(config.duration)
-
-    results, positions = final_snapshot(simulator)
-    checks = []
+    result = simulate("channel", config, simulator, make_program(width))
     if config.check:
-        checks.append(stability_check(stability, simulator))
-        checks.append(_channel_oracle(config, results, positions, width, nodes[0].id, nodes[-1].id))
-    return RunResult("channel", config, simulator, results, positions, checks)
+        result.checks.append(stability_check(result))
+        result.checks.append(
+            _channel_oracle(config, result.results, result.positions, width, nodes[0].id, nodes[-1].id)
+        )
+    return result
 
 
 def _channel_oracle(

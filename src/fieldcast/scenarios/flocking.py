@@ -15,26 +15,10 @@ from pathlib import Path
 
 from ..calculus import aggregate, neighbors, remember
 from ..stdlib import context_rng, store_actuation
-from ..simulator import Simulator, motion_actuator, radius_neighborhood, random_in_circle
-from .base import (
-    CheckResult,
-    RunResult,
-    ScenarioConfig,
-    attach_output_monitors,
-    build_lattice_simulator,
-    final_snapshot,
-    schedule_all,
-)
+from ..simulator import motion_actuator
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
-DEFAULTS = {
-    "rows": 10,
-    "cols": 10,
-    "spacing": 0.1,
-    "noise": 0.01,
-    "radius": 0.3,
-    "speed": 0.05,
-    "noise_amplitude": 0.1,
-}
+DEFAULTS = {"rows": 10, "cols": 10, "radius": 0.3}
 
 
 def normalize_angle(theta: float) -> float:
@@ -67,32 +51,15 @@ def make_program(noise_amplitude: float):
     return flocking_main
 
 
-def build_simulator(config: ScenarioConfig) -> Simulator:
-    if config.n > 0:
-        simulator = Simulator(seed=config.seed)
-        simulator.count_wire_bytes = config.wire_stats
-        simulator.environment.set_neighborhood_function(radius_neighborhood(config.radius))
-        random_in_circle(simulator, config.n, config.spacing * math.sqrt(config.n))
-        return simulator
-    return build_lattice_simulator(config)
-
-
 def run(config: ScenarioConfig) -> RunResult:
-    config.validate()
     simulator = build_simulator(config)
     simulator.register_actuator("heading", motion_actuator(config.speed, config.dt))
-    recorder, _ = attach_output_monitors(simulator, config, value_key=None)
-    schedule_all(simulator, config.dt, make_program(config.noise_amplitude))
-    simulator.run(config.duration)
 
-    results, positions = final_snapshot(simulator)
-    phi_series = polarization_series(recorder, len(results))
-    checks = []
+    result = simulate("flocking", config, simulator, make_program(config.noise_amplitude))
+    phi_series = polarization_series(result.recorder, len(result.results))
     if config.check:
-        checks.extend(_flocking_checks(config, recorder, phi_series))
-    result = RunResult("flocking", config, simulator, results, positions, checks)
+        result.checks.extend(_flocking_checks(config, result.recorder, phi_series))
     result.extras["phi"] = phi_series
-    result.extras["recorder"] = recorder
     if config.out:
         _write_phi(config, phi_series)
     return result

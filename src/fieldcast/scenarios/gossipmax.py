@@ -13,18 +13,9 @@ import math
 from ..calculus import aggregate
 from ..stdlib import gossip_max, sense
 from . import oracles
-from .base import (
-    CheckResult,
-    RunResult,
-    ScenarioConfig,
-    attach_output_monitors,
-    build_lattice_simulator,
-    final_snapshot,
-    schedule_all,
-    stability_check,
-)
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
 
-DEFAULTS = {"rows": 10, "cols": 10, "spacing": 0.1, "noise": 0.01, "radius": 0.12}
+DEFAULTS = {"rows": 10, "cols": 10}
 
 
 @aggregate
@@ -33,27 +24,22 @@ def gossip_main():
 
 
 def run(config: ScenarioConfig) -> RunResult:
-    config.validate()
-    simulator = build_lattice_simulator(config)
-    for node in simulator.environment.node_list():
+    simulator = build_simulator(config)
+    nodes = simulator.environment.node_list()
+    for node in nodes:
         node.data = {"value": node.rng.random()}
 
-    recorder, stability = attach_output_monitors(simulator, config, value_key=None)
-    schedule_all(simulator, config.dt, gossip_main)
-    simulator.run(config.duration)
-
-    results, positions = final_snapshot(simulator)
-    true_max = max(node.data["value"] for node in simulator.environment.node_list())
-    checks = []
+    result = simulate("gossip-max", config, simulator, gossip_main)
+    true_max = max(node.data["value"] for node in nodes)
     if config.check:
-        checks.append(stability_check(stability, simulator))
-        checks.extend(_gossip_checks(config, recorder, results, positions, true_max))
-    result = RunResult("gossip-max", config, simulator, results, positions, checks)
+        result.checks.append(stability_check(result))
+        result.checks.extend(_gossip_checks(config, result, true_max))
     result.extras["true_max"] = true_max
     return result
 
 
-def _gossip_checks(config, recorder, results, positions, true_max) -> list[CheckResult]:
+def _gossip_checks(config, result, true_max) -> list[CheckResult]:
+    results = result.results
     everywhere = all(value == true_max for value in results.values())
     checks = [
         CheckResult(
@@ -63,9 +49,9 @@ def _gossip_checks(config, recorder, results, positions, true_max) -> list[Check
         )
     ]
 
-    adjacency = oracles.build_radius_graph(positions, config.radius)
+    adjacency = oracles.build_radius_graph(result.positions, config.radius)
     diameter = oracles.graph_diameter(adjacency)
-    uniform_sweep = uniformity_sweep(recorder, set(results), true_max)
+    uniform_sweep = uniformity_sweep(result.recorder, set(results), true_max)
     bound = diameter + 1  # first sweep publishes, then one hop per sweep
     checks.append(
         CheckResult(

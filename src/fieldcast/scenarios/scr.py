@@ -8,6 +8,8 @@ The traced value is the region size each device ends up knowing.
 
 from __future__ import annotations
 
+import math
+
 from ..calculus import aggregate
 from ..stdlib import (
     broadcast,
@@ -17,19 +19,9 @@ from ..stdlib import (
     neighbors_distances,
 )
 from . import oracles
-from .base import (
-    CheckResult,
-    RunResult,
-    ScenarioConfig,
-    attach_output_monitors,
-    build_lattice_simulator,
-    final_snapshot,
-    lattice_diagonal,
-    schedule_all,
-    stability_check,
-)
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
 
-DEFAULTS = {"rows": 20, "cols": 20, "spacing": 0.1, "noise": 0.01, "radius": 0.12, "duration": 15.0}
+DEFAULTS = {"duration": 15.0}
 
 
 def make_program(leader_radius: float):
@@ -52,23 +44,18 @@ def make_program(leader_radius: float):
 
 
 def run(config: ScenarioConfig) -> RunResult:
-    config.validate()
+    simulator = build_simulator(config)
     if config.leader_radius is not None:
         leader_radius = config.leader_radius
     else:
-        # Quarter of the deployment's extent, floored for degenerate layouts.
-        leader_radius = max(0.25 * lattice_diagonal(config), config.spacing)
-    simulator = build_lattice_simulator(config)
-    _, stability = attach_output_monitors(simulator, config, value_key="region")
-    schedule_all(simulator, config.dt, make_program(leader_radius))
-    simulator.run(config.duration)
+        # Quarter of the lattice's diagonal, floored for degenerate layouts.
+        diagonal = math.hypot((config.rows - 1) * config.spacing, (config.cols - 1) * config.spacing)
+        leader_radius = max(0.25 * diagonal, config.spacing)
 
-    results, positions = final_snapshot(simulator)
-    checks = []
+    result = simulate("scr", config, simulator, make_program(leader_radius), value_key="region")
     if config.check:
-        checks.append(stability_check(stability, simulator))
-        checks.extend(region_checks(config, results, positions, leader_radius))
-    result = RunResult("scr", config, simulator, results, positions, checks)
+        result.checks.append(stability_check(result))
+        result.checks.extend(region_checks(config, result.results, result.positions, leader_radius))
     result.extras["leader_radius"] = leader_radius
     return result
 

@@ -10,6 +10,8 @@ federations align with the data clusters.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from ..calculus import aggregate, remember
 from ..errors import DomainError
 from ..stdlib import (
@@ -22,32 +24,11 @@ from ..stdlib import (
     loss_based_distances,
     sense,
 )
-from pathlib import Path
+from ..simulator import CsvTraceMonitor
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
 
-from ..simulator import CsvTraceMonitor, StabilityTracker
-from .base import (
-    STABILITY_WINDOW,
-    CheckResult,
-    RunResult,
-    ScenarioConfig,
-    attach_output_monitors,
-    build_lattice_simulator,
-    final_snapshot,
-    schedule_all,
-)
+DEFAULTS = {"rows": 8, "cols": 8, "radius": 0.15}
 
-DEFAULTS = {
-    "rows": 8,
-    "cols": 8,
-    "spacing": 0.1,
-    "noise": 0.01,
-    "radius": 0.15,
-    "model_dim": 4,
-    "learning_rate": 0.1,
-    "clusters": 2,
-}
-
-DEFAULT_THRESHOLD = 0.5
 CENTER_SCALE = 2.0
 
 
@@ -100,49 +81,34 @@ def make_program(threshold: float, learning_rate: float):
 
 
 def run(config: ScenarioConfig) -> RunResult:
-    config.validate()
     if config.model_dim <= 0:
         raise DomainError("model dimension must be positive")
     if not 0.0 < config.learning_rate < 1.0:
         raise DomainError("learning rate must lie in (0, 1)")
     if config.clusters <= 0:
         raise DomainError("cluster count must be positive")
-    threshold = config.threshold if config.threshold is not None else DEFAULT_THRESHOLD
-
-    simulator = build_lattice_simulator(config)
+    simulator = build_simulator(config)
     assign_clusters(simulator, config)
-
-    recorder, _ = attach_output_monitors(simulator, config, value_key="loss")
-    federation_stability = StabilityTracker("federation", STABILITY_WINDOW)
-    simulator.attach_monitor(federation_stability)
     if config.out:
         path = Path(config.out)
         simulator.attach_monitor(
             CsvTraceMonitor(path.with_name(path.stem + "_federation.csv"), "federation")
         )
-    schedule_all(simulator, config.dt, make_program(threshold, config.learning_rate))
-    simulator.run(config.duration)
 
-    results, positions = final_snapshot(simulator)
-    clusters = {
-        node.id: node.data["cluster"] for node in simulator.environment.node_list()
-    }
-    checks = []
+    result = simulate(
+        "sofl",
+        config,
+        simulator,
+        make_program(config.threshold, config.learning_rate),
+        value_key="loss",
+        stable_key="federation",
+    )
+    clusters = {node.id: node.data["cluster"] for node in simulator.environment.node_list()}
     if config.check:
-        stable = federation_stability.stabilized(simulator.environment)
-        checks.append(
-            CheckResult(
-                "stabilized",
-                stable,
-                "federation ids settled" if stable else "federations still churning",
-            )
-        )
-        checks.append(purity_check(results, clusters))
-    result = RunResult("sofl", config, simulator, results, positions, checks)
+        result.checks.append(stability_check(result))
+        result.checks.append(purity_check(result.results, clusters))
     result.extras["clusters"] = clusters
-    result.extras["purity"] = federation_purity(results, clusters)
-    result.extras["threshold"] = threshold
-    result.extras["recorder"] = recorder
+    result.extras["purity"] = federation_purity(result.results, clusters)
     return result
 
 

@@ -34,8 +34,8 @@ class Environment:
 
     # -- population ----------------------------------------------------------
 
-    def add_node(self, position, data: dict | None = None, rng=None) -> Node:
-        node = Node(self._next_id, position, data, rng)
+    def add_node(self, position, data: dict | None = None) -> Node:
+        node = Node(self._next_id, position, data)
         self._next_id += 1
         self.nodes[node.id] = node
         self._invalidate()

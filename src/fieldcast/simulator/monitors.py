@@ -146,9 +146,7 @@ class FrameMonitor(Monitor):
     def on_finish(self, simulator: Simulator) -> None:
         # The horizon may land between events (float drift in periodic
         # schedules); emit any snapshot whose interval boundary was reached.
-        while simulator.time >= self._next_time:
-            self._emit(simulator)
-            self._next_time += self.interval
+        self.on_event(simulator, None)
 
     def _emit(self, simulator: Simulator) -> None:
         env = simulator.environment

@@ -34,13 +34,13 @@ class Node:
         "_prev_export_time",
     )
 
-    def __init__(self, node_id: int, position, data: dict | None = None, rng=None):
+    def __init__(self, node_id: int, position, data: dict | None = None):
         self.id = node_id
         self.position = tuple(position)
         self.data = data if data is not None else {}
         self.state: EngineState | None = None
         self.result: Any = None
-        self.rng = rng
+        self.rng = None
         self.suppressed = False
         self._export: Export | None = None
         self._export_time = 0.0

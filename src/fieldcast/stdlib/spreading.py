@@ -24,6 +24,12 @@ def distance_to(source: bool, metric: NeighborhoodField) -> float:
     takes the minimum neighbor estimate plus edge length, +inf when no
     neighbor has an estimate yet.  Own older estimates never participate, so
     values can rise again after a source moves or disappears.
+
+    Count to infinity: in a connected component with no source every
+    estimate is still some neighbor's estimate plus an edge, so once finite
+    the estimates there keep growing, by about one edge per round, instead of
+    becoming +inf.  The potential reaches the shortest-path oracle only while
+    every node stays connected to a source.
     """
     check_metric(metric)
 

@@ -183,7 +183,7 @@ def test_criterion_6_flocking():
         # displacement invariant under noisy headings, per step, 1e-12
         result = flocking.run(config_for("flocking", seed=0))
         kinematics = flocking.displacement_check(
-            result.extras["recorder"],
+            result.recorder,
             result.config.speed,
             result.config.dt,
             tolerance=1e-12,
@@ -233,7 +233,7 @@ def test_criterion_7_sofl():
         rate = (1.0 - 2.0 * config.learning_rate) ** 2
         initial = sum(v**2 for v in sofl.cluster_center(0, config.model_dim))
         worst = 0.0
-        for _, sweep, _, _, record in result.extras["recorder"].records:
+        for _, sweep, _, _, record in result.recorder.records:
             expected = initial * rate**sweep
             worst = max(worst, abs(record["loss"] - expected))
         assert worst <= 1e-9, f"closed-form deviation {worst:.3e}"

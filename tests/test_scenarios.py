@@ -1,5 +1,6 @@
 """Scenario runners and the command-line interface (desk-scale configs)."""
 
+import hashlib
 import math
 
 import pytest
@@ -198,6 +199,16 @@ def test_config_validation():
         channel.run(config_for("channel", dt=-1.0))
     with pytest.raises(DomainError):
         channel.run(config_for("channel", duration=0.01, dt=0.1))
+    with pytest.raises(DomainError):
+        channel.run(config_for("channel", n=-3))
+
+
+@pytest.mark.parametrize("name", ["channel", "scr", "gossip-max"])
+def test_node_count_deploys_a_disc_in_lattice_scenarios(name):
+    config = config_for(name, n=30, radius=0.6, duration=5.0, check=True)
+    result = SCENARIOS[name].run(config)
+    assert len(result.results) == 30
+    assert result.ok, [str(c) for c in result.checks]
 
 
 # -- CLI ----------------------------------------------------------------
@@ -221,6 +232,10 @@ def test_cli_unknown_scenario_is_usage_error():
 
 def test_cli_unknown_flag_is_usage_error():
     assert main(["run", "channel", "--bogus-flag", "1"]) == 2
+
+
+def test_cli_negative_node_count_is_usage_error():
+    assert main(["run", "gossip-max", "--n", "-3", "--duration", "1"]) == 2
 
 
 def test_cli_missing_command_is_usage_error():
@@ -304,3 +319,28 @@ def test_every_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
     assert "wire bytes" in capsys.readouterr().out
     config_file.write_text("rows=three\n")
     assert main(args + ["--config", str(config_file)]) == 2
+
+
+# SHA-256 of `fieldcast run <scenario> --seed 3 --duration 2 --out <s>.csv`
+# and of its side CSVs.  The rows print floats with `repr`, so the digests pin
+# CPython's float formatting and the platform's libm (math.sin, math.atan2).
+TRACE_DIGESTS = {
+    "channel.csv": "95fa71d3080a5a74306a41a9e9e6c31b79f4b8e8e1d0025e2f5b8d68b19dd760",
+    "scr.csv": "9c00c9b37cbc4660d67f051f2a2de1ff32fb345a4b406fc1c8fd3812fee91157",
+    "gossip-max.csv": "19299710688eba9aef95693aadae116944879adecb34dbdab8062b9cd6b3899d",
+    "flocking.csv": "6a2129a222d32882951dac600d37a2a3d8d6e5ae4cf661957f334f93a099d7a6",
+    "flocking_phi.csv": "cab53fd8a0df9b96e164303465572a9ecf9853c57460b14f78ce13bf19f6d5ad",
+    "sofl.csv": "d58c08680155043570b6b1cbb1da390fe9840a02af3abba8e5aa329a1d98a746",
+    "sofl_federation.csv": "b86beb0976efcbb0d4fbd784c548db1889136647da06a78fbbd5a593dcb39001",
+}
+
+
+def test_cli_traces_match_the_recorded_digests(tmp_path):
+    for name in SCENARIOS:
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", name, "--seed", "3", "--duration", "2", "--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*.csv")
+    }
+    assert digests == TRACE_DIGESTS
