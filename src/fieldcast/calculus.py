@@ -28,6 +28,7 @@ from .engine import (
     KIND_FUNCTION,
     KIND_OPERATOR,
     Engine,
+    PathNode,
 )
 from .errors import UsageError
 from .fields import NeighborhoodField
@@ -52,18 +53,6 @@ def activate(engine: Engine):
         engine_var.reset(token)
 
 
-@contextmanager
-def _scope(engine: Engine, kind: str, name: str | None = None):
-    engine.enter(kind, name)
-    depth = engine.depth
-    try:
-        yield
-    finally:
-        # Restore balance even when the body leaked enters before failing.
-        engine.unwind_to(depth)
-        engine.exit()
-
-
 class StateHandle:
     """Setter for one state slot; calling it stages the next-round value.
 
@@ -71,20 +60,25 @@ class StateHandle:
     visible next round.
     """
 
-    __slots__ = ("_engine", "path")
+    __slots__ = ("_engine", "_node")
 
-    def __init__(self, engine: Engine, path):
+    def __init__(self, engine: Engine, node: PathNode):
         self._engine = engine
-        self.path = path
+        self._node = node
+
+    @property
+    def path(self):
+        """The slot's alignment path as a tuple of scope tokens."""
+        return self._node.tokens
 
     def __call__(self, value: Any) -> None:
-        self._engine.set_slot(self.path, value)
+        self._engine.set_slot(self._node, value)
 
     set = __call__
 
     @property
     def current(self) -> Any:
-        return self._engine.slot_value(self.path)
+        return self._engine.slot_value(self._node)
 
     def __repr__(self) -> str:
         return f"StateHandle(path={self.path!r})"
@@ -98,9 +92,12 @@ def remember(initial: Any) -> tuple[StateHandle, Any]:
     never called).  At most one write takes effect per round, the last one.
     """
     engine = current_engine()
-    with _scope(engine, KIND_OPERATOR, "remember"):
-        value, path = engine.write_slot(initial)
-    return StateHandle(engine, path), value
+    engine.enter(KIND_OPERATOR, "remember")
+    try:
+        value, node = engine.write_slot(initial)
+    finally:
+        engine.exit()
+    return StateHandle(engine, node), value
 
 
 def neighbors(value: Any) -> NeighborhoodField:
@@ -112,9 +109,12 @@ def neighbors(value: Any) -> NeighborhoodField:
     """
     engine = current_engine()
     payload = value.current if isinstance(value, StateHandle) else value
-    with _scope(engine, KIND_OPERATOR, "neighbors"):
+    engine.enter(KIND_OPERATOR, "neighbors")
+    try:
         engine.send(payload)
         return engine.neighbor_values()
+    finally:
+        engine.exit()
 
 
 def share(initial: Any, update: Callable[[NeighborhoodField], Any]) -> Any:
@@ -128,10 +128,12 @@ def share(initial: Any, update: Callable[[NeighborhoodField], Any]) -> Any:
     built on this.
     """
     engine = current_engine()
-    with _scope(engine, KIND_OPERATOR, "share"):
-        field = engine.receive(initial)
-        value = update(field)
+    scope = engine.enter(KIND_OPERATOR, "share")
+    try:
+        value = update(engine.receive(initial))
         engine.send(value)
+    finally:
+        engine.exit(scope)
     return value
 
 
@@ -143,26 +145,36 @@ def branch(condition: bool, then: Callable[[], Any], otherwise: Callable[[], Any
     as soon as the branch returns.
     """
     engine = current_engine()
-    kind = KIND_BRANCH_LEFT if condition else KIND_BRANCH_RIGHT
-    with _scope(engine, kind):
+    scope = engine.enter(KIND_BRANCH_LEFT if condition else KIND_BRANCH_RIGHT)
+    try:
         return then() if condition else otherwise()
+    finally:
+        engine.exit(scope)
 
 
 def aggregate_call(name: str, body: Callable[[], Any]) -> Any:
     """Run ``body`` inside a function scope named ``name``."""
     engine = current_engine()
-    with _scope(engine, KIND_FUNCTION, name):
+    scope = engine.enter(KIND_FUNCTION, name)
+    try:
         return body()
+    finally:
+        engine.exit(scope)
 
 
 def aggregate(fn: Callable) -> Callable:
     """Decorator giving a function its own alignment scope per call."""
 
+    name = fn.__name__
+
     @wraps(fn)
     def wrapper(*args, **kwargs):
         engine = current_engine()
-        with _scope(engine, KIND_FUNCTION, fn.__name__):
+        scope = engine.enter(KIND_FUNCTION, name)
+        try:
             return fn(*args, **kwargs)
+        finally:
+            engine.exit(scope)
 
     wrapper.__wrapped__ = fn
     return wrapper

@@ -9,6 +9,15 @@ exactly; everything else is misalignment and simply drops out of the
 neighborhood field.  Every export carries full values, so a receiver keeps no
 memory of earlier exports.
 
+Paths are interned: each distinct token sequence is one `PathNode` in a
+process-wide trie whose root is the empty path.  Entering a scope is a child
+lookup, leaving it follows the parent pointer, and state slots and export
+entries are keyed by the node, which hashes by identity.  Devices at the same
+program point therefore hold the very same node.  Nodes live only in memory:
+`Engine.path` and `Export.paths()` give `ScopeToken` tuples, the wire format
+still spells out every token (see `Export`), and a decoded export interns its
+paths so they align with the local ones.
+
 Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
 ``cooldown()`` returning ``(new_state, export)``.  Alignment violations
 (reusing a path, unbalanced enter/exit) raise `AlignmentError` and abort the
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Mapping, NamedTuple
 
-from .errors import AlignmentError, EncodingError, UsageError
+from .errors import AlignmentError, EncodingError, UsageError, format_path
 from .fields import NeighborhoodField
 from .values import decode_value, encode_value, read_uvarint, write_uvarint
 
@@ -33,6 +42,7 @@ _KINDS = (KIND_FUNCTION, KIND_OPERATOR, KIND_BRANCH_LEFT, KIND_BRANCH_RIGHT)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 _MISSING = object()
+_NO_ROUND = "no round in progress (call setup first)"
 
 
 class ScopeToken(NamedTuple):
@@ -48,8 +58,69 @@ class ScopeToken(NamedTuple):
     occurrence: int
 
 
-# An alignment path is a tuple of ScopeTokens; empty at round boundaries.
+# A path as seen from outside the engine: a tuple of ScopeTokens.
 AlignmentPath = tuple
+
+
+class PathNode:
+    """One interned alignment path: a node of the process-wide path trie.
+
+    There is exactly one node per distinct token sequence, so nodes compare
+    and hash by identity.  ``tokens`` is the path as a tuple of `ScopeToken`s
+    and ``children`` maps ``(kind, name, occurrence)`` to the node one token
+    deeper.  The trie only grows: a node is made the first time any device
+    (or a decoded export) reaches its path and is reused from then on.
+    """
+
+    __slots__ = ("parent", "depth", "tokens", "children")
+
+    def __init__(self, parent: PathNode | None, token: ScopeToken | None):
+        self.parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.tokens: AlignmentPath = () if parent is None else parent.tokens + (token,)
+        self.children: dict[tuple, PathNode] = {}
+
+    def child(self, kind: str, name: str | None, occurrence: int) -> PathNode:
+        """The node one token deeper, made on first use."""
+        key = (kind, name, occurrence)
+        node = self.children.get(key)
+        if node is None:
+            # setdefault keeps a single node when two threads race here
+            node = self.children.setdefault(key, PathNode(self, ScopeToken(kind, name, occurrence)))
+        return node
+
+    def __repr__(self) -> str:
+        return f"PathNode({format_path(self.tokens)})"
+
+
+ROOT = PathNode(None, None)
+
+
+def intern_path(path) -> PathNode:
+    """The node of ``path``: a `PathNode`, or a sequence of (kind, name, occurrence) tokens."""
+    if type(path) is PathNode:
+        return path
+    node = ROOT
+    for kind, name, occurrence in path:
+        node = node.child(kind, name, occurrence)
+    return node
+
+
+def _interned(entries) -> dict:
+    return {intern_path(path): value for path, value in entries.items()}
+
+
+class SlotMap(dict):
+    """State slots keyed by `PathNode`; ``slots[tokens]`` also finds a token tuple's slot."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            node = intern_path(key)
+            if node in self:
+                return self[node]
+        raise KeyError(key)
 
 
 class NodeContext:
@@ -78,31 +149,45 @@ class EngineState:
     """Everything a node persists between rounds.
 
     ``slots`` holds the state values visited in the most recent round (paths
-    not visited are garbage-collected at cooldown).
+    not visited are garbage-collected at cooldown), keyed by `PathNode`;
+    token-tuple keys given here are interned.
     """
 
-    slots: dict = dataclass_field(default_factory=dict)
+    slots: dict = dataclass_field(default_factory=SlotMap)
+
+    def __post_init__(self) -> None:
+        if type(self.slots) is not SlotMap:
+            self.slots = SlotMap(_interned(self.slots))
 
 
 class Export:
     """A node's per-round outbound message: alignment path -> value.
 
-    Every export carries full values.  On the wire, each entry's path is coded
-    against the previous entry's: how many leading tokens both share, how many
-    new tokens follow, and each new token as the varint ``occurrence << 2 |
-    kind code`` followed by its name.  The entry's value comes next.
+    ``entries`` is keyed by `PathNode`; token-tuple keys given to the
+    constructor are interned.  Every export carries full values.  On the wire,
+    each entry's path is coded against the previous entry's: how many leading
+    tokens both share, how many new tokens follow, and each new token as the
+    varint ``occurrence << 2 | kind code`` followed by its name.  The entry's
+    value comes next.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: dict | None = None):
-        self.entries = entries if entries is not None else {}
+        self.entries = {} if entries is None else _interned(entries)
 
-    def paths(self):
-        return self.entries.keys()
+    @classmethod
+    def _of_nodes(cls, entries: dict) -> Export:
+        """The export of ``entries``, already keyed by `PathNode` (not copied)."""
+        export = cls.__new__(cls)
+        export.entries = entries
+        return export
+
+    def paths(self) -> list[AlignmentPath]:
+        return [node.tokens for node in self.entries]
 
     def get(self, path, default=None):
-        return self.entries.get(path, default)
+        return self.entries.get(intern_path(path), default)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -119,7 +204,8 @@ class Export:
         out = bytearray()
         write_uvarint(out, len(self.entries))
         previous: tuple = ()
-        for path, value in self.entries.items():
+        for node, value in self.entries.items():
+            path = node.tokens
             shared = 0
             limit = min(len(path), len(previous))
             while shared < limit and path[shared] == previous[shared]:
@@ -137,25 +223,27 @@ class Export:
     def from_bytes(cls, raw: bytes) -> "Export":
         """Decode ``to_bytes`` output; malformed input raises `EncodingError`."""
         entries: dict = {}
-        previous: tuple = ()
+        previous = ROOT
         count, pos = read_uvarint(raw, 0)
         for _ in range(count):
             shared, pos = read_uvarint(raw, pos)
-            if shared > len(previous):
-                raise EncodingError(f"path shares {shared} tokens with a path of {len(previous)}")
+            if shared > previous.depth:
+                raise EncodingError(f"path shares {shared} tokens with a path of {previous.depth}")
             fresh, pos = read_uvarint(raw, pos)
-            tokens = list(previous[:shared])
+            node = previous
+            while node.depth > shared:
+                node = node.parent
             for _ in range(fresh):
                 packed, pos = read_uvarint(raw, pos)
                 name, pos = decode_value(raw, pos)
                 if name is not None and type(name) is not str:
                     raise EncodingError(f"token name of type {type(name).__name__}")
-                tokens.append(ScopeToken(_KINDS[packed & 3], name, packed >> 2))
-            previous = tuple(tokens)
-            entries[previous], pos = decode_value(raw, pos)
+                node = node.child(_KINDS[packed & 3], name, packed >> 2)
+            previous = node
+            entries[node], pos = decode_value(raw, pos)
         if pos != len(raw):
             raise EncodingError(f"{len(raw) - pos} trailing bytes after the last entry")
-        return cls(entries)
+        return cls._of_nodes(entries)
 
 
 class Engine:
@@ -164,6 +252,7 @@ class Engine:
     def __init__(self, max_depth: int = 128):
         self.max_depth = max_depth
         self._active = False
+        self._node = ROOT
         self.context: NodeContext | None = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -180,9 +269,12 @@ class Engine:
         self.context = context
         self._prev_slots = state.slots if state is not None else {}
         self._inbound = {sender: export.entries for sender, export in (inbound or {}).items()}
-        self._path: AlignmentPath = ()
-        self._counters: list[dict] = [{}]
-        self._slots: dict = {}
+        self._node = ROOT
+        # (scope node, kind, name) -> how many such tokens the scope entered
+        # this round; a node is entered at most once per round, so it names
+        # the scope instance
+        self._occurrences: dict = {}
+        self._slots = SlotMap()
         self._slot_current: dict = {}
         self._export: dict = {}
         self.staged_actuations: dict[str, Any] = {}
@@ -191,10 +283,10 @@ class Engine:
     def cooldown(self) -> tuple[EngineState, Export]:
         """End the round: return the persisted state and outbound export."""
         self._require_active()
-        if self._path:
-            raise AlignmentError(self._path, "round ended with unbalanced enter/exit")
+        if self._node is not ROOT:
+            raise AlignmentError(self._node.tokens, "round ended with unbalanced enter/exit")
         state = EngineState(self._slots)
-        export = Export(self._export)
+        export = Export._of_nodes(self._export)
         self._reset()
         return state, export
 
@@ -210,85 +302,103 @@ class Engine:
 
     def _require_active(self) -> None:
         if not self._active:
-            raise UsageError("no round in progress (call setup first)")
+            raise UsageError(_NO_ROUND)
 
     # -- alignment ----------------------------------------------------------
 
     @property
     def path(self) -> AlignmentPath:
-        return self._path
+        return self._node.tokens
 
     @property
     def depth(self) -> int:
-        return len(self._path)
+        return self._node.depth
 
-    def enter(self, kind: str, name: str | None = None) -> None:
-        """Push a scope token; occurrence counters restart per parent scope."""
-        self._require_active()
-        scope = self._counters[-1]
-        key = (kind, name)
-        occurrence = scope.get(key, 0)
-        scope[key] = occurrence + 1
-        path = self._path + (ScopeToken(kind, name, occurrence),)
-        if len(path) > self.max_depth:
-            raise AlignmentError(path, f"alignment depth exceeds limit of {self.max_depth}")
-        self._path = path
-        self._counters.append({})
+    def enter(self, kind: str, name: str | None = None) -> PathNode:
+        """Push a scope token and return the new path's node.
 
-    def exit(self) -> None:
-        self._require_active()
-        if not self._path:
+        Occurrence counters restart per parent scope and per round.
+        """
+        if not self._active:
+            raise UsageError(_NO_ROUND)
+        parent = self._node
+        occurrences = self._occurrences
+        key = (parent, kind, name)
+        occurrence = occurrences.get(key, 0)
+        occurrences[key] = occurrence + 1
+        node = parent.children.get((kind, name, occurrence))
+        if node is None:
+            node = parent.child(kind, name, occurrence)
+        if node.depth > self.max_depth:
+            raise AlignmentError(node.tokens, f"alignment depth exceeds limit of {self.max_depth}")
+        self._node = node
+        return node
+
+    def exit(self, scope: PathNode | None = None) -> None:
+        """Pop the innermost scope token.
+
+        Given ``scope``, the node its `enter` returned, first close whatever
+        the scope's body left open inside it (error recovery).
+        """
+        if not self._active:
+            raise UsageError(_NO_ROUND)
+        node = self._node
+        if scope is not None and node is not scope:
+            self.unwind_to(scope.depth)
+            node = self._node
+        if node is ROOT:
             raise AlignmentError((), "exit called with empty alignment path")
-        self._counters.pop()
-        self._path = self._path[:-1]
+        self._node = node.parent
 
     def unwind_to(self, depth: int) -> None:
         """Pop tokens until the path is ``depth`` long (error recovery)."""
-        while len(self._path) > depth:
+        while self._node.depth > depth:
             self.exit()
 
     # -- state slots ----------------------------------------------------------
 
-    def write_slot(self, initial: Any) -> tuple[Any, AlignmentPath]:
+    def write_slot(self, initial: Any) -> tuple[Any, PathNode]:
         """Claim the slot at the current path; returns (current value, slot key).
 
         First round yields ``initial``; later rounds yield whatever was set
         last round (or the carried-forward value if never set).
         """
-        self._require_active()
-        path = self._path
-        if path in self._slot_current:
-            raise AlignmentError(path, "state slot claimed twice in one round")
-        current = self._prev_slots.get(path, _MISSING)
+        if not self._active:
+            raise UsageError(_NO_ROUND)
+        node = self._node
+        if node in self._slot_current:
+            raise AlignmentError(node.tokens, "state slot claimed twice in one round")
+        current = self._prev_slots.get(node, _MISSING)
         if current is _MISSING:
             current = initial
-        self._slot_current[path] = current
-        self._slots[path] = current  # carry forward unless set_slot overrides
-        return current, path
+        self._slot_current[node] = current
+        self._slots[node] = current  # carry forward unless set_slot overrides
+        return current, node
 
-    def set_slot(self, path: AlignmentPath, value: Any) -> None:
+    def set_slot(self, node: PathNode, value: Any) -> None:
         """Stage ``value`` for the next round; last write wins."""
         self._require_active()
-        if path not in self._slot_current:
+        if node not in self._slot_current:
             raise UsageError("set_slot on a slot not claimed this round (stale handle?)")
-        self._slots[path] = value
+        self._slots[node] = value
 
-    def slot_value(self, path: AlignmentPath) -> Any:
+    def slot_value(self, node: PathNode) -> Any:
         """The slot's round-start value (staged writes do not show here)."""
         self._require_active()
-        if path not in self._slot_current:
+        if node not in self._slot_current:
             raise UsageError("slot_value on a slot not claimed this round (stale handle?)")
-        return self._slot_current[path]
+        return self._slot_current[node]
 
     # -- exchange ----------------------------------------------------------
 
     def send(self, value: Any) -> None:
         """Stage ``value`` into the export at the current path."""
-        self._require_active()
-        path = self._path
-        if path in self._export:
-            raise AlignmentError(path, "export path used twice in one round")
-        self._export[path] = value
+        if not self._active:
+            raise UsageError(_NO_ROUND)
+        node = self._node
+        if node in self._export:
+            raise AlignmentError(node.tokens, "export path used twice in one round")
+        self._export[node] = value
 
     def neighbor_values(self) -> NeighborhoodField:
         """Field of the values aligned neighbors shared at the current path.
@@ -297,17 +407,19 @@ class Engine:
         (misaligned neighbors drop out).  The local device is included with
         the value sent this round, if any.
         """
-        self._require_active()
-        path = self._path
+        if not self._active:
+            raise UsageError(_NO_ROUND)
+        node = self._node
         own_id = self.context.device_id
         values = {}
         for neighbor_id, entries in self._inbound.items():
-            if neighbor_id == own_id:
-                continue
-            if path in entries:
-                values[neighbor_id] = entries[path]
-        if path in self._export:
-            values[own_id] = self._export[path]
+            if neighbor_id != own_id:
+                value = entries.get(node, _MISSING)
+                if value is not _MISSING:
+                    values[neighbor_id] = value
+        value = self._export.get(node, _MISSING)
+        if value is not _MISSING:
+            values[own_id] = value
         return NeighborhoodField(own_id, values)
 
     def receive(self, initial: Any = _MISSING) -> NeighborhoodField:
@@ -318,13 +430,15 @@ class Engine:
         ``initial`` when that export lacks this path; this is what lets a
         read-update-send operator carry its state in the export itself.
         """
-        self._require_active()
-        path = self._path
+        if not self._active:
+            raise UsageError(_NO_ROUND)
+        node = self._node
         own_id = self.context.device_id
         values = {}
         for neighbor_id, entries in self._inbound.items():
-            if path in entries:
-                values[neighbor_id] = entries[path]
+            value = entries.get(node, _MISSING)
+            if value is not _MISSING:
+                values[neighbor_id] = value
         if own_id not in values and initial is not _MISSING:
             values[own_id] = initial
         return NeighborhoodField(own_id, values)

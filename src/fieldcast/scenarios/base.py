@@ -8,8 +8,9 @@ and any extras.  The skeleton every scenario runs lives here once:
   radius topology: ``n`` nodes uniformly in a disc of radius
   ``spacing * sqrt(n)`` when ``n > 0``, a deformed ``rows`` x ``cols`` lattice
   otherwise.
-* ``simulate`` attaches the monitors (a ``TraceRecorder``, one
-  ``StabilityTracker`` and the optional CSV trace and SVG frames), schedules
+* ``simulate`` attaches the monitors (a ``TraceRecorder``, a
+  ``StabilityTracker`` unless the scenario checks no stability, and the
+  optional CSV trace and SVG frames), schedules
   every node at t = 0, runs to ``duration`` and snapshots the final results
   and positions into a ``RunResult``.  It is the one place a run passes
   through, so run-wide instrumentation belongs here.
@@ -105,7 +106,7 @@ class RunResult:
     results: dict[int, Any]
     positions: dict[int, tuple]
     recorder: TraceRecorder
-    stability: StabilityTracker
+    stability: StabilityTracker | None
     checks: list[CheckResult] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
@@ -138,17 +139,22 @@ def simulate(
     program: Callable,
     value_key: str | None = None,
     stable_key: str | None = None,
+    stability_checked: bool = True,
 ) -> RunResult:
     """Monitor, schedule and run every node, then snapshot the outcome.
 
     ``value_key`` picks the traced value out of dict results for the CSV
     trace and the frames; the stability tracker follows ``stable_key``, or
-    ``value_key`` when no ``stable_key`` is given.
+    ``value_key`` when no ``stable_key`` is given.  A scenario that never
+    runs ``stability_check`` passes ``stability_checked=False``: no tracker
+    is attached and ``RunResult.stability`` is None.
     """
     recorder = TraceRecorder()
-    stability = StabilityTracker(stable_key or value_key, STABILITY_WINDOW)
     simulator.attach_monitor(recorder)
-    simulator.attach_monitor(stability)
+    stability = None
+    if stability_checked:
+        stability = StabilityTracker(stable_key or value_key, STABILITY_WINDOW)
+        simulator.attach_monitor(stability)
     if config.out:
         simulator.attach_monitor(CsvTraceMonitor(Path(config.out), value_key))
     if config.frames:

@@ -48,9 +48,13 @@ def run(config: ScenarioConfig) -> RunResult:
     if config.leader_radius is not None:
         leader_radius = config.leader_radius
     else:
-        # Quarter of the lattice's diagonal, floored for degenerate layouts.
-        diagonal = math.hypot((config.rows - 1) * config.spacing, (config.cols - 1) * config.spacing)
-        leader_radius = max(0.25 * diagonal, config.spacing)
+        # A quarter of the deployment's extent (the lattice's diagonal or the
+        # disc's diameter), floored for degenerate layouts.
+        if config.n > 0:
+            extent = 2 * config.spacing * math.sqrt(config.n)
+        else:
+            extent = math.hypot((config.rows - 1) * config.spacing, (config.cols - 1) * config.spacing)
+        leader_radius = max(0.25 * extent, config.spacing)
 
     result = simulate("scr", config, simulator, make_program(leader_radius), value_key="region")
     if config.check:

@@ -17,7 +17,7 @@ import math
 import random
 from typing import Any, Callable
 
-from ..calculus import activate
+from ..calculus import engine_var
 from ..engine import Engine, NodeContext
 from ..errors import AlignmentError, DomainError
 from .environment import Environment
@@ -116,10 +116,13 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
         context = NodeContext(node.id, node.position, now, node.data, node.rng)
         engine = Engine()
         try:
-            with activate(engine):
+            token = engine_var.set(engine)
+            try:
                 engine.setup(context, inbound, node.state)
                 result = program()
                 new_state, export = engine.cooldown()
+            finally:
+                engine_var.reset(token)
         except AlignmentError as error:
             log.warning("node %s round at t=%.6f aborted: %s", node.id, now, error)
             engine.abort()

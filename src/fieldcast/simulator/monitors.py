@@ -91,9 +91,6 @@ class TraceRecorder(Monitor):
         self.rounds[node.id] = index
         self.records.append((simulator.time, index, node.id, node.position, node.result))
 
-    def per_round(self, node_id: int) -> list[Any]:
-        return [rec[4] for rec in self.records if rec[2] == node_id]
-
 
 class StabilityTracker(Monitor):
     """Detects stabilization: every node's traced value unchanged for a window.

@@ -9,6 +9,7 @@ from fieldcast.engine import (
     KIND_BRANCH_RIGHT,
     KIND_FUNCTION,
     KIND_OPERATOR,
+    ROOT,
     ScopeToken,
 )
 from fieldcast.errors import AlignmentError, EncodingError, UsageError
@@ -412,3 +413,82 @@ def test_export_from_any_bytes_decodes_or_raises_encoding_error(raw):
     except EncodingError:
         return
     assert isinstance(decoded, Export)
+
+
+# -- interned paths -----------------------------------------------------------
+
+
+def trie_size(node=ROOT):
+    return 1 + sum(trie_size(child) for child in node.children.values())
+
+
+def test_engines_running_the_same_calls_reach_the_same_node():
+    def walk(engine):
+        engine.enter(KIND_FUNCTION, "main")
+        engine.enter(KIND_OPERATOR, "share")
+        engine.exit()
+        node = engine.enter(KIND_OPERATOR, "share")
+        return node, engine.path
+
+    first_node, first_path = walk(fresh(device_id=1))
+    second_node, second_path = walk(fresh(device_id=2))
+    assert first_node is second_node
+    expected = path_of(("fn", "main", 0), ("op", "share", 1))
+    assert first_path == second_path == expected
+    assert type(first_path) is tuple and first_node.tokens == expected
+
+
+def test_the_trie_stops_growing_once_a_fixed_program_has_run():
+    from fieldcast.scenarios import SCENARIOS, ScenarioConfig
+    from fieldcast.scenarios.base import build_simulator
+    from fieldcast.scenarios.scr import make_program
+    from fieldcast.simulator import aggregate_program_runner
+
+    config = ScenarioConfig(scenario="scr", rows=4, cols=4, **SCENARIOS["scr"].defaults)
+    simulator = build_simulator(config)
+    program = make_program(0.15)
+    for node in simulator.environment.node_list():
+        simulator.schedule_event(0.0, aggregate_program_runner, simulator, config.dt, node, program)
+    simulator.run(0.15)  # rounds at t = 0 and t = 0.1
+    assert simulator.rounds_executed == 2 * 16
+    after_two_rounds = trie_size()
+    simulator.run(4.95)
+    assert simulator.rounds_executed == 50 * 16
+    assert trie_size() == after_two_rounds
+
+
+def test_a_decoded_export_gives_the_same_field_as_the_export_itself():
+    sender = fresh(device_id=1)
+    sender.enter(KIND_FUNCTION, "main")
+    sender.enter(KIND_BRANCH_LEFT)
+    sender.send((1.5, "x"))
+    sender.exit()
+    sender.exit()
+    _, export = sender.cooldown()
+
+    def field_from(inbound):
+        receiver = fresh(inbound={1: inbound}, device_id=0)
+        receiver.enter(KIND_FUNCTION, "main")
+        receiver.enter(KIND_BRANCH_LEFT)
+        field = receiver.receive("own")
+        receiver.exit()
+        receiver.exit()
+        return field.items()
+
+    decoded = Export.from_bytes(export.to_bytes())
+    assert list(decoded.entries) == list(export.entries)
+    assert field_from(decoded) == field_from(export) == [(0, "own"), (1, (1.5, "x"))]
+
+
+def test_depth_limit_error_names_the_rejected_path():
+    engine = Engine(max_depth=2)
+    engine.setup(ctx(), {}, None)
+    engine.enter(KIND_FUNCTION, "f")
+    engine.enter(KIND_BRANCH_RIGHT)
+    with pytest.raises(AlignmentError) as caught:
+        engine.enter(KIND_OPERATOR, "share")
+    assert caught.value.path == path_of(("fn", "f", 0), ("right", None, 0), ("op", "share", 0))
+    assert str(caught.value) == (
+        "alignment depth exceeds limit of 2 (path: fn:f#0/right#0/op:share#0)"
+    )
+    assert engine.path == path_of(("fn", "f", 0), ("right", None, 0))

@@ -5,11 +5,12 @@ import math
 
 import pytest
 
-from fieldcast.cli import main, parse_config_file
+from fieldcast.cli import build_parser, main, parse_config_file, resolve_config
 from fieldcast.errors import DomainError
 from fieldcast.scenarios import SCENARIOS, ScenarioConfig
 from fieldcast.scenarios import channel, flocking, gossipmax, scr, sofl
 from fieldcast.scenarios.gossipmax import uniformity_sweep
+from fieldcast.simulator import StabilityTracker
 
 
 def config_for(name, **overrides):
@@ -88,6 +89,15 @@ def test_scr_radius_larger_than_network_elects_one_leader():
     assert result.results[leaders[0]]["region"] == 16
 
 
+def test_scr_leader_radius_follows_the_deployed_disc():
+    # a quarter of the disc's diameter: 0.1 * sqrt(200) / 2; the lattice
+    # defaults (20 x 20) would give 0.6718
+    args = build_parser().parse_args(["run", "scr", "--n", "200", "--radius", "0.3", "--check"])
+    result = SCENARIOS["scr"].run(resolve_config(args))
+    assert result.extras["leader_radius"] == pytest.approx(0.7071, abs=1e-4)
+    assert result.ok, [str(c) for c in result.checks]
+
+
 def test_scr_single_node_region_of_one():
     config = config_for("scr", rows=1, cols=1, duration=3.0, check=True)
     result = scr.run(config)
@@ -151,6 +161,13 @@ def test_flocking_single_node_goes_straight():
     distance = math.dist(node.position, (0.0, 0.0))
     rounds = result.simulator.rounds_executed - 1  # motion applies per completed round
     assert distance == pytest.approx(config.speed * config.dt * (rounds + 1), rel=1e-6)
+
+
+def test_flocking_attaches_no_stability_tracker():
+    result = flocking.run(config_for("flocking", rows=3, cols=3, duration=1.0, check=True))
+    assert result.stability is None
+    assert not any(isinstance(m, StabilityTracker) for m in result.simulator.monitors)
+    assert gossipmax.run(config_for("gossip-max", rows=3, cols=3, duration=1.0)).stability is not None
 
 
 def test_flocking_circle_deployment():
