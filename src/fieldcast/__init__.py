@@ -19,7 +19,7 @@ from .calculus import (
     remember,
     share,
 )
-from .engine import Engine, EngineState, Export, NodeContext, ScopeToken
+from .engine import Engine, Export, NodeContext, ScopeToken
 from .errors import (
     AggregateError,
     AlignmentError,
@@ -40,7 +40,6 @@ __all__ = [
     "EmptyFieldError",
     "EncodingError",
     "Engine",
-    "EngineState",
     "Export",
     "MissingSensorError",
     "NeighborhoodField",

@@ -25,8 +25,15 @@ from .errors import AggregateError
 from .scenarios import SCENARIOS, ScenarioConfig
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True}
+_BOOLS.update(dict.fromkeys(("0", "false", "no", "off"), False))
+
+
 def _parse_bool(value: str) -> bool:
-    return value.lower() in ("1", "true", "yes", "on")
+    try:
+        return _BOOLS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {value!r}") from None
 
 
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}

@@ -11,22 +11,24 @@ memory of earlier exports.
 
 Paths are interned: each distinct token sequence is one `PathNode` in a
 process-wide trie whose root is the empty path.  Entering a scope is a child
-lookup, leaving it follows the parent pointer, and state slots and export
-entries are keyed by the node, which hashes by identity.  Devices at the same
-program point therefore hold the very same node.  Nodes live only in memory:
-`Engine.path` and `Export.paths()` give `ScopeToken` tuples, the wire format
-still spells out every token (see `Export`), and a decoded export interns its
-paths so they align with the local ones.
+lookup, leaving it follows the parent pointer, and a device's state slots (a
+``{PathNode: value}`` dict) and its export entries are keyed by the node,
+which hashes by identity.  Devices at the same program point therefore hold
+the very same node.  Nodes live only in memory: `Engine.path` and
+`Export.paths()` give `ScopeToken` tuples, the wire format still spells out
+every token (see `Export`), and a decoded export interns its paths so they
+align with the local ones.  `intern_path` is the one conversion from a token
+sequence to its node.
 
 Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
-``cooldown()`` returning ``(new_state, export)``.  Alignment violations
-(reusing a path, unbalanced enter/exit) raise `AlignmentError` and abort the
-round; callers keep the node's previous state and export in that case.
+``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state to
+pass to the next ``setup``.  Alignment violations (reusing a path, unbalanced
+enter/exit) raise `AlignmentError` and abort the round; callers keep the
+node's previous state and export in that case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Mapping, NamedTuple
 
 from .errors import AlignmentError, EncodingError, UsageError, format_path
@@ -97,30 +99,11 @@ ROOT = PathNode(None, None)
 
 
 def intern_path(path) -> PathNode:
-    """The node of ``path``: a `PathNode`, or a sequence of (kind, name, occurrence) tokens."""
-    if type(path) is PathNode:
-        return path
+    """The node of ``path``, a sequence of (kind, name, occurrence) tokens."""
     node = ROOT
     for kind, name, occurrence in path:
         node = node.child(kind, name, occurrence)
     return node
-
-
-def _interned(entries) -> dict:
-    return {intern_path(path): value for path, value in entries.items()}
-
-
-class SlotMap(dict):
-    """State slots keyed by `PathNode`; ``slots[tokens]`` also finds a token tuple's slot."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        if isinstance(key, tuple):
-            node = intern_path(key)
-            if node in self:
-                return self[node]
-        raise KeyError(key)
 
 
 class NodeContext:
@@ -144,50 +127,23 @@ class NodeContext:
         return f"NodeContext(device_id={self.device_id}, position={self.position}, time={self.time})"
 
 
-@dataclass
-class EngineState:
-    """Everything a node persists between rounds.
-
-    ``slots`` holds the state values visited in the most recent round (paths
-    not visited are garbage-collected at cooldown), keyed by `PathNode`;
-    token-tuple keys given here are interned.
-    """
-
-    slots: dict = dataclass_field(default_factory=SlotMap)
-
-    def __post_init__(self) -> None:
-        if type(self.slots) is not SlotMap:
-            self.slots = SlotMap(_interned(self.slots))
-
-
 class Export:
     """A node's per-round outbound message: alignment path -> value.
 
-    ``entries`` is keyed by `PathNode`; token-tuple keys given to the
-    constructor are interned.  Every export carries full values.  On the wire,
-    each entry's path is coded against the previous entry's: how many leading
-    tokens both share, how many new tokens follow, and each new token as the
-    varint ``occurrence << 2 | kind code`` followed by its name.  The entry's
-    value comes next.
+    ``entries`` maps `PathNode` to value and is stored as given, not copied.
+    Every export carries full values.  On the wire, each entry's path is coded
+    against the previous entry's: how many leading tokens both share, how many
+    new tokens follow, and each new token as the varint ``occurrence << 2 |
+    kind code`` followed by its name.  The entry's value comes next.
     """
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: dict | None = None):
-        self.entries = {} if entries is None else _interned(entries)
-
-    @classmethod
-    def _of_nodes(cls, entries: dict) -> Export:
-        """The export of ``entries``, already keyed by `PathNode` (not copied)."""
-        export = cls.__new__(cls)
-        export.entries = entries
-        return export
+    def __init__(self, entries: dict[PathNode, Any]):
+        self.entries = entries
 
     def paths(self) -> list[AlignmentPath]:
         return [node.tokens for node in self.entries]
-
-    def get(self, path, default=None):
-        return self.entries.get(intern_path(path), default)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -201,6 +157,7 @@ class Export:
         return f"Export({len(self.entries)} entries)"
 
     def to_bytes(self) -> bytes:
+        """Encode the entries; a token or value with no wire form raises `EncodingError`."""
         out = bytearray()
         write_uvarint(out, len(self.entries))
         previous: tuple = ()
@@ -212,9 +169,14 @@ class Export:
                 shared += 1
             write_uvarint(out, shared)
             write_uvarint(out, len(path) - shared)
-            for token in path[shared:]:
-                write_uvarint(out, token.occurrence << 2 | _KIND_CODES[token.kind])
-                encode_value(token.name, out)
+            for kind, name, occurrence in path[shared:]:
+                code = _KIND_CODES.get(kind)
+                if code is None or not (name is None or isinstance(name, str)):
+                    raise EncodingError(
+                        f"token {kind}:{name!r} has no wire form (path: {format_path(path)})"
+                    )
+                write_uvarint(out, occurrence << 2 | code)
+                encode_value(name, out)
             encode_value(value, out)
             previous = path
         return bytes(out)
@@ -243,7 +205,7 @@ class Export:
             entries[node], pos = decode_value(raw, pos)
         if pos != len(raw):
             raise EncodingError(f"{len(raw) - pos} trailing bytes after the last entry")
-        return cls._of_nodes(entries)
+        return cls(entries)
 
 
 class Engine:
@@ -261,34 +223,33 @@ class Engine:
         self,
         context: NodeContext,
         inbound: Mapping[int, Export] | None = None,
-        state: EngineState | None = None,
+        state: dict[PathNode, Any] | None = None,
     ) -> None:
-        """Begin a round: take the inbound exports and reset the path."""
+        """Begin a round on the inbound exports and the slots the last ``cooldown`` returned."""
         if self._active:
             raise UsageError("setup called while a round is in progress")
         self.context = context
-        self._prev_slots = state.slots if state is not None else {}
+        self._prev_slots = state if state is not None else {}
         self._inbound = {sender: export.entries for sender, export in (inbound or {}).items()}
         self._node = ROOT
         # (scope node, kind, name) -> how many such tokens the scope entered
         # this round; a node is entered at most once per round, so it names
         # the scope instance
         self._occurrences: dict = {}
-        self._slots = SlotMap()
+        self._slots: dict = {}
         self._slot_current: dict = {}
         self._export: dict = {}
         self.staged_actuations: dict[str, Any] = {}
         self._active = True
 
-    def cooldown(self) -> tuple[EngineState, Export]:
-        """End the round: return the persisted state and outbound export."""
+    def cooldown(self) -> tuple[dict[PathNode, Any], Export]:
+        """End the round: return the slots visited this round and the outbound export."""
         self._require_active()
         if self._node is not ROOT:
             raise AlignmentError(self._node.tokens, "round ended with unbalanced enter/exit")
-        state = EngineState(self._slots)
-        export = Export._of_nodes(self._export)
+        slots, export = self._slots, Export(self._export)
         self._reset()
-        return state, export
+        return slots, export
 
     def abort(self) -> None:
         """Discard the round in progress (after an alignment error)."""
@@ -309,10 +270,6 @@ class Engine:
     @property
     def path(self) -> AlignmentPath:
         return self._node.tokens
-
-    @property
-    def depth(self) -> int:
-        return self._node.depth
 
     def enter(self, kind: str, name: str | None = None) -> PathNode:
         """Push a scope token and return the new path's node.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..engine import EngineState, Export
+from ..engine import Export, PathNode
 
 
 class Node:
@@ -38,7 +38,7 @@ class Node:
         self.id = node_id
         self.position = tuple(position)
         self.data = data if data is not None else {}
-        self.state: EngineState | None = None
+        self.state: dict[PathNode, Any] | None = None
         self.result: Any = None
         self.rng = None
         self.suppressed = False

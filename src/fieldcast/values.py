@@ -70,7 +70,14 @@ def _unzigzag(n: int) -> int:
 
 
 def encode_value(value: Any, out: bytearray) -> None:
-    """Append the wire form of ``value`` to ``out``."""
+    """Append the wire form of ``value`` to ``out``, or raise `EncodingError`."""
+    try:
+        _encode(value, out)
+    except RecursionError:
+        raise EncodingError("value nested too deeply") from None
+
+
+def _encode(value: Any, out: bytearray) -> None:
     if value is None:
         out.append(_TAG_NULL)
     elif value is True:
@@ -98,13 +105,13 @@ def encode_value(value: Any, out: bytearray) -> None:
             out.append(_TAG_SEQ)
             write_uvarint(out, len(value))
             for item in value:
-                encode_value(item, out)
+                _encode(item, out)
     elif isinstance(value, dict):
         out.append(_TAG_MAP)
         write_uvarint(out, len(value))
         for key, item in value.items():
-            encode_value(key, out)
-            encode_value(item, out)
+            _encode(key, out)
+            _encode(item, out)
     else:
         raise EncodingError(f"value of type {type(value).__name__} has no wire form")
 

@@ -372,7 +372,7 @@ def test_criterion_9a_path_balance(ops):
 def test_criterion_9b_state_garbage_collection(first_ops, second_ops):
     outcome = run_program(first_ops)
     second = run_program(second_ops, state=outcome["state"], inbound={0: outcome["export"]})
-    assert set(second["state"].slots) == set(second["slot_log"])
+    assert set(second["state"]) == set(second["slot_log"])
 
 
 @generative

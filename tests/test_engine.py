@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fieldcast import Engine, EngineState, Export, NodeContext
+from fieldcast import Engine, Export, NodeContext, activate, aggregate_call, neighbors
 from fieldcast.engine import (
     KIND_BRANCH_LEFT,
     KIND_BRANCH_RIGHT,
@@ -11,6 +11,7 @@ from fieldcast.engine import (
     KIND_OPERATOR,
     ROOT,
     ScopeToken,
+    intern_path,
 )
 from fieldcast.errors import AlignmentError, EncodingError, UsageError
 
@@ -59,7 +60,7 @@ def test_abort_returns_engine_to_idle():
     engine.abort()
     engine.setup(ctx(), {}, None)  # no usage error
     state, export = engine.cooldown()
-    assert len(export) == 0 and state.slots == {}
+    assert len(export) == 0 and state == {}
 
 
 def test_program_with_no_send_exports_nothing():
@@ -170,7 +171,7 @@ def test_last_write_wins():
     engine.set_slot(key, 1)
     engine.set_slot(key, 2)
     state, _ = engine.cooldown()
-    assert state.slots[()] == 2
+    assert state[ROOT] == 2
 
 
 def test_unvisited_slots_are_dropped():
@@ -179,11 +180,11 @@ def test_unvisited_slots_are_dropped():
     engine.write_slot("a")
     engine.exit()
     state, _ = engine.cooldown()
-    assert len(state.slots) == 1
+    assert len(state) == 1
 
     engine.setup(ctx(), {}, state)  # round that never visits the slot
     state, _ = engine.cooldown()
-    assert state.slots == {}
+    assert state == {}
 
 
 def test_stale_handle_is_usage_error():
@@ -284,7 +285,7 @@ def test_identical_inputs_identical_outputs():
         _, export = sender.cooldown()
 
         engine = Engine()
-        state = EngineState({(): 7})
+        state = {ROOT: 7}
         engine.setup(ctx(1, time=3.0), {2: export}, state)
         value, key = engine.write_slot(0)
         engine.set_slot(key, value + 1)
@@ -293,7 +294,7 @@ def test_identical_inputs_identical_outputs():
         field = engine.neighbor_values()
         engine.exit()
         new_state, out = engine.cooldown()
-        return new_state.slots, out.entries, field.items()
+        return new_state, out.entries, field.items()
 
     assert one_round() == one_round()
 
@@ -317,8 +318,8 @@ MAIN = ScopeToken(KIND_FUNCTION, "main", 0)
 def test_export_bytes_code_each_path_against_the_previous_one():
     export = Export(
         {
-            (MAIN, ScopeToken(KIND_OPERATOR, "neighbors", 0)): (1.0, 2.0),
-            (MAIN, ScopeToken(KIND_OPERATOR, "share", 0)): 3,
+            intern_path((MAIN, ScopeToken(KIND_OPERATOR, "neighbors", 0))): (1.0, 2.0),
+            intern_path((MAIN, ScopeToken(KIND_OPERATOR, "share", 0))): 3,
         }
     )
     assert export.to_bytes() == bytes.fromhex(
@@ -364,7 +365,7 @@ def exports(draw):
         if path not in entries:
             entries[path] = draw(wire_values)
             previous = path
-    return Export(entries)
+    return Export({intern_path(path): value for path, value in entries.items()})
 
 
 DEEP = (MAIN, ScopeToken(KIND_BRANCH_LEFT, None, 40), ScopeToken(KIND_OPERATOR, "share", 0))
@@ -373,7 +374,16 @@ DEEP = (MAIN, ScopeToken(KIND_BRANCH_LEFT, None, 40), ScopeToken(KIND_OPERATOR, 
 @given(exports())
 # the empty path; a branch token with no name whose packed varint takes two
 # bytes (occurrence >= 32); a path that is a prefix of the previous one
-@example(Export({(): None, DEEP: 1.5, DEEP[:2]: "x", DEEP[:1]: (0.5, -0.0)}))
+@example(
+    Export(
+        {
+            ROOT: None,
+            intern_path(DEEP): 1.5,
+            intern_path(DEEP[:2]): "x",
+            intern_path(DEEP[:1]): (0.5, -0.0),
+        }
+    )
+)
 def test_export_wire_roundtrip_keeps_every_path_and_the_order(export):
     decoded = Export.from_bytes(export.to_bytes())
     assert list(decoded.entries.items()) == list(export.entries.items())
@@ -400,6 +410,22 @@ def test_export_wire_roundtrip_keeps_every_path_and_the_order(export):
 def test_malformed_export_raises_encoding_error(raw, reason):
     with pytest.raises(EncodingError, match=reason):
         Export.from_bytes(raw)
+
+
+def test_a_token_name_the_wire_cannot_carry_raises_encoding_error():
+    engine = fresh()
+    with activate(engine):
+        aggregate_call(7, lambda: neighbors(1.0))
+    _, export = engine.cooldown()
+    with pytest.raises(EncodingError, match=r"token fn:7 has no wire form \(path: fn:7#0/op:"):
+        export.to_bytes()
+
+
+def test_a_token_kind_with_no_wire_code_raises_encoding_error():
+    export = Export({intern_path((MAIN, ScopeToken("loop", None, 0))): 1})
+    expected = r"token loop:None has no wire form \(path: fn:main#0/loop#0\)"
+    with pytest.raises(EncodingError, match=expected):
+        export.to_bytes()
 
 
 @given(st.binary(max_size=64))

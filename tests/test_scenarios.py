@@ -306,13 +306,17 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert trace_a.read_bytes() != trace_b.read_bytes()
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rows 4\n")
     assert main(["run", "gossip-max", "--config", str(bad)]) == 2
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("frobnicate=1\n")
     assert main(["run", "gossip-max", "--config", str(unknown)]) == 2
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("# run the oracle\ncheck=ture\n")
+    assert main(["run", "gossip-max", "--config", str(typo)]) == 2
+    assert f"{typo}:2: check: expected one of" in capsys.readouterr().err
     assert parse_config_file.__doc__  # parsing helpers stay documented
 
 

@@ -72,6 +72,14 @@ def test_unsupported_type_raises():
         encoded(object())
 
 
+def test_deep_nesting_raises_encoding_error():
+    nested = ()
+    for _ in range(5000):
+        nested = (nested,)
+    with pytest.raises(EncodingError, match="nested too deeply"):
+        encoded(nested)
+
+
 def test_truncated_input_raises():
     raw = encoded("hello")
     with pytest.raises(EncodingError):
