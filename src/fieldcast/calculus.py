@@ -11,8 +11,10 @@ Aggregate programs are ordinary Python functions built from three operators:
 
 Wrapping a function with ``@aggregate`` gives every call its own function
 token, which is what lets two devices recognize they are at the same program
-point.  The active engine lives in a context variable so independent rounds
-can run on separate threads or tasks.
+point.  Each operator pops exactly the token it pushed, in a ``finally``
+clause, so a scope left open inside an operator body aborts the round as
+unbalanced.  The active engine lives in a context variable so independent
+rounds can run on separate threads or tasks.
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ class StateHandle:
     def __call__(self, value: Any) -> None:
         self._engine.set_slot(self._node, value)
 
-    set = __call__
-
     @property
     def current(self) -> Any:
         return self._engine.slot_value(self._node)
@@ -128,12 +128,12 @@ def share(initial: Any, update: Callable[[NeighborhoodField], Any]) -> Any:
     built on this.
     """
     engine = current_engine()
-    scope = engine.enter(KIND_OPERATOR, "share")
+    engine.enter(KIND_OPERATOR, "share")
     try:
         value = update(engine.receive(initial))
         engine.send(value)
     finally:
-        engine.exit(scope)
+        engine.exit()
     return value
 
 
@@ -144,22 +144,24 @@ def branch(condition: bool, then: Callable[[], Any], otherwise: Callable[[], Any
     branch (their fields there contain only same-side devices) and realign
     as soon as the branch returns.
     """
-    engine = current_engine()
-    scope = engine.enter(KIND_BRANCH_LEFT if condition else KIND_BRANCH_RIGHT)
-    try:
-        return then() if condition else otherwise()
-    finally:
-        engine.exit(scope)
+    if condition:
+        return _scoped(KIND_BRANCH_LEFT, None, then)
+    return _scoped(KIND_BRANCH_RIGHT, None, otherwise)
 
 
 def aggregate_call(name: str, body: Callable[[], Any]) -> Any:
     """Run ``body`` inside a function scope named ``name``."""
+    return _scoped(KIND_FUNCTION, name, body)
+
+
+def _scoped(kind: str, name: str | None, body: Callable[[], Any]) -> Any:
+    """Run ``body`` inside one scope token, closed however the body ends."""
     engine = current_engine()
-    scope = engine.enter(KIND_FUNCTION, name)
+    engine.enter(kind, name)
     try:
         return body()
     finally:
-        engine.exit(scope)
+        engine.exit()
 
 
 def aggregate(fn: Callable) -> Callable:
@@ -170,11 +172,11 @@ def aggregate(fn: Callable) -> Callable:
     @wraps(fn)
     def wrapper(*args, **kwargs):
         engine = current_engine()
-        scope = engine.enter(KIND_FUNCTION, name)
+        engine.enter(KIND_FUNCTION, name)
         try:
             return fn(*args, **kwargs)
         finally:
-            engine.exit(scope)
+            engine.exit()
 
     wrapper.__wrapped__ = fn
     return wrapper

@@ -23,8 +23,9 @@ sequence to its node.
 Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
 ``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state to
 pass to the next ``setup``.  Alignment violations (reusing a path, unbalanced
-enter/exit) raise `AlignmentError` and abort the round; callers keep the
-node's previous state and export in that case.
+enter/exit, such as a scope left open inside an operator body) raise
+`AlignmentError` and abort the round; callers keep the node's previous state
+and export in that case.
 """
 
 from __future__ import annotations
@@ -177,7 +178,10 @@ class Export:
                     )
                 write_uvarint(out, occurrence << 2 | code)
                 encode_value(name, out)
-            encode_value(value, out)
+            try:
+                encode_value(value, out)
+            except EncodingError as error:
+                raise EncodingError(f"{error} (path: {format_path(path)})") from None
             previous = path
         return bytes(out)
 
@@ -291,26 +295,14 @@ class Engine:
         self._node = node
         return node
 
-    def exit(self, scope: PathNode | None = None) -> None:
-        """Pop the innermost scope token.
-
-        Given ``scope``, the node its `enter` returned, first close whatever
-        the scope's body left open inside it (error recovery).
-        """
+    def exit(self) -> None:
+        """Pop the innermost scope token."""
         if not self._active:
             raise UsageError(_NO_ROUND)
         node = self._node
-        if scope is not None and node is not scope:
-            self.unwind_to(scope.depth)
-            node = self._node
         if node is ROOT:
             raise AlignmentError((), "exit called with empty alignment path")
         self._node = node.parent
-
-    def unwind_to(self, depth: int) -> None:
-        """Pop tokens until the path is ``depth`` long (error recovery)."""
-        while self._node.depth > depth:
-            self.exit()
 
     # -- state slots ----------------------------------------------------------
 
@@ -366,18 +358,7 @@ class Engine:
         """
         if not self._active:
             raise UsageError(_NO_ROUND)
-        node = self._node
-        own_id = self.context.device_id
-        values = {}
-        for neighbor_id, entries in self._inbound.items():
-            if neighbor_id != own_id:
-                value = entries.get(node, _MISSING)
-                if value is not _MISSING:
-                    values[neighbor_id] = value
-        value = self._export.get(node, _MISSING)
-        if value is not _MISSING:
-            values[own_id] = value
-        return NeighborhoodField(own_id, values)
+        return self._gather(self._export.get(self._node, _MISSING))
 
     def receive(self, initial: Any = _MISSING) -> NeighborhoodField:
         """Field at the current path before anything was sent there.
@@ -389,15 +370,21 @@ class Engine:
         """
         if not self._active:
             raise UsageError(_NO_ROUND)
+        previous = self._inbound.get(self.context.device_id)
+        return self._gather(initial if previous is None else previous.get(self._node, initial))
+
+    def _gather(self, own: Any) -> NeighborhoodField:
+        """The other devices' entries at the current path, plus ``own`` unless missing."""
         node = self._node
         own_id = self.context.device_id
         values = {}
         for neighbor_id, entries in self._inbound.items():
-            value = entries.get(node, _MISSING)
-            if value is not _MISSING:
-                values[neighbor_id] = value
-        if own_id not in values and initial is not _MISSING:
-            values[own_id] = initial
+            if neighbor_id != own_id:
+                value = entries.get(node, _MISSING)
+                if value is not _MISSING:
+                    values[neighbor_id] = value
+        if own is not _MISSING:
+            values[own_id] = own
         return NeighborhoodField(own_id, values)
 
     # -- actuation ----------------------------------------------------------

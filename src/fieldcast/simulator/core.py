@@ -102,8 +102,8 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
     program through a fresh engine, publishes the new state and export, and
     applies staged actuations.  An alignment error is logged and skips this
     round's updates; the node keeps its previous state and export and still
-    reschedules.  Any other exception from the program is logged with the node
-    and time, then propagates unchanged and ends the run.
+    reschedules.  Any other exception from the round (the program or the wire
+    count) is logged with the node and time, then propagates and ends the run.
     """
     env = simulator.environment
     now = simulator.time
@@ -123,6 +123,7 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
                 new_state, export = engine.cooldown()
             finally:
                 engine_var.reset(token)
+            size = len(export.to_bytes()) if simulator.count_wire_bytes else 0
         except AlignmentError as error:
             log.warning("node %s round at t=%.6f aborted: %s", node.id, now, error)
             engine.abort()
@@ -133,8 +134,7 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
             node.state = new_state
             node.result = result
             node.publish_export(export, now)
-            if simulator.count_wire_bytes:
-                simulator.wire_bytes += len(export.to_bytes())
+            simulator.wire_bytes += size
             for name, value in engine.staged_actuations.items():
                 actuator = simulator.actuators.get(name)
                 if actuator is not None:

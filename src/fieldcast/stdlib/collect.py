@@ -75,16 +75,5 @@ def collect_or(potential: float, flag: bool) -> bool:
     down the potential: with the potential anchored at a target and the flag
     on a source, that is the shortest path between the two.
     """
-    parent = find_parent(potential)
-    me = local_id()
-
-    def update(links: NeighborhoodField) -> tuple:
-        result = bool(flag)
-        if not result:
-            for _, entry in links.exclude_self().items():
-                if entry[0] == me and entry[1]:
-                    result = True
-                    break
-        return (parent, result)
-
-    return share((None, False), update)[1]
+    # collect_with's body in this scope, so the paths stay find_parent#0/share#0
+    return collect_with.__wrapped__(potential, bool(flag), lambda a, b: a or b)

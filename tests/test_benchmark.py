@@ -1,0 +1,25 @@
+"""The traced benchmark still runs against the engine and calculus it wraps.
+
+`perfbench/tracer.py` wraps engine and calculus methods by name, so renaming
+or deleting one of them breaks the benchmark without failing any other test.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_a_short_traced_scr_run_counts_every_wrapped_engine_call():
+    command = [
+        sys.executable, "perfbench/workload.py",
+        "--workload", "scr-static", "--seed", "1", "--horizon", "0.3", "--trace", "1",
+    ]
+    finished = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=120)
+    assert finished.returncode == 0, finished.stderr
+    per_layer = json.loads(finished.stdout.strip().splitlines()[-1])["per_layer"]
+    assert per_layer["engine.enter_per_round"][0] == 17
+    for call in ("receive", "neighbor_values", "exit"):
+        assert per_layer[f"engine.{call}.calls"][0] > 0, call

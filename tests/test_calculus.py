@@ -297,6 +297,36 @@ def test_body_errors_propagate_with_path_restored():
         engine.cooldown()
 
 
+@pytest.mark.parametrize(
+    "operator, open_path",
+    [
+        ("share", "op:share#0"),
+        ("branch", "left#0"),
+        ("aggregate_call", "fn:block#0"),
+        ("aggregate", "fn:leak#0"),
+    ],
+)
+def test_a_scope_left_open_in_an_operator_body_aborts_the_round(operator, open_path):
+    def leak(*_):
+        current_engine().enter("fn", "leak")  # never exited
+        return 1
+
+    run = {
+        "share": lambda: share(0, leak),
+        "branch": lambda: branch(True, leak, leak),
+        "aggregate_call": lambda: aggregate_call("block", leak),
+        "aggregate": aggregate(leak),
+    }[operator]
+    engine = Engine()
+    with activate(engine):
+        engine.setup(NodeContext(0, (0.0, 0.0), 0.0, {}), {}, None)
+        assert run() == 1
+        with pytest.raises(AlignmentError) as caught:
+            engine.cooldown()
+    # the operator closed only the leaked scope, so its own scope is still open
+    assert str(caught.value) == f"round ended with unbalanced enter/exit (path: {open_path})"
+
+
 def test_operators_outside_engine_context_raise():
     with pytest.raises(UsageError):
         remember(0)

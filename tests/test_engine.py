@@ -272,6 +272,45 @@ def test_receive_falls_back_to_initial():
     assert len(engine.receive()) == 0
 
 
+def exports_at(path, values):
+    """{device id: one-entry export carrying its value at ``path``}."""
+    node = intern_path(path)
+    return {device_id: Export({node: value}) for device_id, value in values.items()}
+
+
+def test_neighbor_values_takes_the_own_entry_from_this_round_only():
+    inbound = exports_at(path_of(("fn", "f", 0)), {0: "own, last round", 1: "one"})
+    engine = fresh(inbound=inbound, device_id=0)
+    engine.enter(KIND_FUNCTION, "f")
+    assert engine.neighbor_values().items() == [(1, "one")]  # nothing sent yet
+    engine.send("own, this round")
+    assert engine.neighbor_values().items() == [(0, "own, this round"), (1, "one")]
+
+
+def test_receive_prefers_the_own_previous_export_over_initial():
+    inbound = exports_at(path_of(("fn", "f", 0)), {0: "own, last round", 1: "one"})
+    engine = fresh(inbound=inbound, device_id=0)
+    engine.enter(KIND_FUNCTION, "f")
+    assert engine.receive("initial").items() == [(0, "own, last round"), (1, "one")]
+
+
+def test_the_gathered_fields_do_not_depend_on_where_the_own_id_sits_in_the_inbound():
+    own_first = exports_at(path_of(("fn", "f", 0)), {2: "own", 1: "one", 3: "three"})
+    own_last = {device_id: own_first[device_id] for device_id in (1, 3, 2)}
+
+    def fields(inbound):
+        engine = fresh(inbound=inbound, device_id=2)
+        engine.enter(KIND_FUNCTION, "f")
+        received = engine.receive("initial")
+        engine.send("sent")
+        return received, engine.neighbor_values()
+
+    received, gathered = fields(own_first)
+    assert (received, gathered) == fields(own_last)
+    assert received.items() == [(1, "one"), (2, "own"), (3, "three")]
+    assert gathered.items() == [(1, "one"), (2, "sent"), (3, "three")]
+
+
 # -- determinism ----------------------------------------------------------------
 
 
@@ -418,6 +457,13 @@ def test_a_token_name_the_wire_cannot_carry_raises_encoding_error():
         aggregate_call(7, lambda: neighbors(1.0))
     _, export = engine.cooldown()
     with pytest.raises(EncodingError, match=r"token fn:7 has no wire form \(path: fn:7#0/op:"):
+        export.to_bytes()
+
+
+def test_a_value_with_no_wire_form_raises_encoding_error_naming_its_path():
+    export = Export({intern_path((MAIN, ScopeToken(KIND_OPERATOR, "neighbors", 0))): object()})
+    expected = r"value of type object has no wire form \(path: fn:main#0/op:neighbors#0\)$"
+    with pytest.raises(EncodingError, match=expected):
         export.to_bytes()
 
 

@@ -6,11 +6,12 @@ import random
 
 import pytest
 
-from fieldcast import aggregate, neighbors, remember
-from fieldcast.errors import DomainError
+from fieldcast import aggregate, current_engine, neighbors, remember, share
+from fieldcast.errors import DomainError, EncodingError, format_path
 from fieldcast.scenarios import oracles
 from fieldcast.stdlib import (
     context_rng,
+    current_time,
     distance_to,
     local_id,
     neighbors_distances,
@@ -321,6 +322,65 @@ def test_crashing_program_is_logged_with_node_and_time_then_raised(caplog):
     assert "node 0 round at t=0.200000" in errors[0].getMessage()
     assert "ZeroDivisionError" in errors[0].getMessage()
     assert sim.time == pytest.approx(0.2)
+
+
+def test_a_scope_left_open_in_a_share_update_aborts_the_round_and_keeps_the_state(caplog):
+    @aggregate
+    def leaky():
+        set_count, count = remember(0)
+        set_count(count + 1)
+
+        def update(_):
+            if current_time() == 0.1:
+                current_engine().enter("fn", "leak")  # never exited
+            return count
+
+        share(0, update)
+        return count
+
+    sim = Simulator()
+    node = sim.add_node((0.0, 0.0))
+    schedule_everywhere(sim, 0.1, leaky)
+    sim.run(0.05)
+    state, export = node.state, node.last_export
+    with caplog.at_level(logging.WARNING, logger="fieldcast.simulator.core"):
+        sim.run(0.15)
+    assert [record.getMessage() for record in caplog.records] == [
+        "node 0 round at t=0.100000 aborted: "
+        "round ended with unbalanced enter/exit (path: fn:leaky#0)"
+    ]
+    assert node.state is state and node.last_export is export
+    assert sim.rounds_executed == 1
+    sim.run(0.25)
+    assert node.result == 1  # resumed from the kept state
+    assert [format_path(path) for path in node.last_export.paths()] == [
+        "fn:leaky#0/op:share#0"
+    ]
+
+
+def test_an_export_with_no_wire_form_is_logged_before_the_round_is_committed(caplog):
+    @aggregate
+    def shares_an_object():
+        return neighbors(object()).ids()
+
+    sim = Simulator()
+    sim.count_wire_bytes = True
+    sim.environment.set_neighborhood_function(full_neighborhood())
+    for x in range(3):
+        sim.add_node((float(x), 0.0))
+    schedule_everywhere(sim, 0.1, shares_an_object)
+    expected = r"no wire form \(path: fn:shares_an_object#0/op:neighbors#0\)"
+    with caplog.at_level(logging.ERROR, logger="fieldcast.simulator.core"):
+        with pytest.raises(EncodingError, match=expected):
+            sim.run(1.0)
+
+    errors = [record.getMessage() for record in caplog.records]
+    assert len(errors) == 1
+    assert "node 0 round at t=0.000000 crashed" in errors[0]
+    assert "op:neighbors#0" in errors[0]
+    first = sim.environment.nodes[0]
+    assert first.state is None and first.last_export is None and first.result is None
+    assert sim.rounds_executed == 0 and sim.wire_bytes == 0
 
 
 def test_suppressed_node_skips_rounds():
