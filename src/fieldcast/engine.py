@@ -17,8 +17,10 @@ which hashes by identity.  Devices at the same program point therefore hold
 the very same node.  Nodes live only in memory: `Engine.path` and
 `Export.paths()` give `ScopeToken` tuples, the wire format still spells out
 every token (see `Export`), and a decoded export interns its paths so they
-align with the local ones.  `intern_path` is the one conversion from a token
-sequence to its node.
+align with the local ones.  Each node caches its path's wire bytes per
+predecessor, so tokens are encoded once rather than every round, in the same
+format.  A path is at most `MAX_DEPTH` tokens deep, in a round and on the
+wire.  `intern_path` is the one conversion from a token sequence to its node.
 
 Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
 ``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state to
@@ -43,6 +45,9 @@ KIND_BRANCH_RIGHT = "right"
 
 _KINDS = (KIND_FUNCTION, KIND_OPERATOR, KIND_BRANCH_LEFT, KIND_BRANCH_RIGHT)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+
+# The deepest alignment path a round may enter or the wire may carry.
+MAX_DEPTH = 128
 
 _MISSING = object()
 _NO_ROUND = "no round in progress (call setup first)"
@@ -73,15 +78,17 @@ class PathNode:
     and ``children`` maps ``(kind, name, occurrence)`` to the node one token
     deeper.  The trie only grows: a node is made the first time any device
     (or a decoded export) reaches its path and is reused from then on.
+    ``wire`` caches the path's wire bytes per predecessor node (`_wire_code`).
     """
 
-    __slots__ = ("parent", "depth", "tokens", "children")
+    __slots__ = ("parent", "depth", "tokens", "children", "wire")
 
     def __init__(self, parent: PathNode | None, token: ScopeToken | None):
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
         self.tokens: AlignmentPath = () if parent is None else parent.tokens + (token,)
         self.children: dict[tuple, PathNode] = {}
+        self.wire: dict[PathNode, bytes] = {}
 
     def child(self, kind: str, name: str | None, occurrence: int) -> PathNode:
         """The node one token deeper, made on first use."""
@@ -105,6 +112,27 @@ def intern_path(path) -> PathNode:
     for kind, name, occurrence in path:
         node = node.child(kind, name, occurrence)
     return node
+
+
+def _wire_code(node: PathNode, previous: PathNode) -> bytes:
+    """Cache the bytes coding ``node``'s path after ``previous``'s; a failure caches nothing."""
+    path = node.tokens
+    if node.depth > MAX_DEPTH:
+        raise EncodingError(f"path deeper than {MAX_DEPTH} tokens (path: {format_path(path)})")
+    shared = previous  # walk up to the longest prefix both paths share
+    while shared.depth > node.depth or path[: shared.depth] != shared.tokens:
+        shared = shared.parent
+    out = bytearray()
+    write_uvarint(out, shared.depth)
+    write_uvarint(out, node.depth - shared.depth)
+    for kind, name, occurrence in path[shared.depth :]:
+        code = _KIND_CODES.get(kind)
+        if code is None or not (name is None or isinstance(name, str)):
+            raise EncodingError(f"token {kind}:{name!r} has no wire form (path: {format_path(path)})")
+        write_uvarint(out, occurrence << 2 | code)
+        encode_value(name, out)
+    wire = node.wire[previous] = bytes(out)  # a racing thread stores equal bytes
+    return wire
 
 
 class NodeContext:
@@ -135,7 +163,9 @@ class Export:
     Every export carries full values.  On the wire, each entry's path is coded
     against the previous entry's: how many leading tokens both share, how many
     new tokens follow, and each new token as the varint ``occurrence << 2 |
-    kind code`` followed by its name.  The entry's value comes next.
+    kind code`` followed by its name.  The entry's value comes next.  These
+    path bytes are cached per predecessor on the node (``PathNode.wire``), and
+    a path deeper than `MAX_DEPTH` raises `EncodingError` both ways.
     """
 
     __slots__ = ("entries",)
@@ -158,31 +188,17 @@ class Export:
         return f"Export({len(self.entries)} entries)"
 
     def to_bytes(self) -> bytes:
-        """Encode the entries; a token or value with no wire form raises `EncodingError`."""
+        """Encode the entries; a path or value the wire cannot carry raises `EncodingError`."""
         out = bytearray()
         write_uvarint(out, len(self.entries))
-        previous: tuple = ()
+        previous = ROOT
         for node, value in self.entries.items():
-            path = node.tokens
-            shared = 0
-            limit = min(len(path), len(previous))
-            while shared < limit and path[shared] == previous[shared]:
-                shared += 1
-            write_uvarint(out, shared)
-            write_uvarint(out, len(path) - shared)
-            for kind, name, occurrence in path[shared:]:
-                code = _KIND_CODES.get(kind)
-                if code is None or not (name is None or isinstance(name, str)):
-                    raise EncodingError(
-                        f"token {kind}:{name!r} has no wire form (path: {format_path(path)})"
-                    )
-                write_uvarint(out, occurrence << 2 | code)
-                encode_value(name, out)
+            out += node.wire.get(previous) or _wire_code(node, previous)
             try:
                 encode_value(value, out)
             except EncodingError as error:
-                raise EncodingError(f"{error} (path: {format_path(path)})") from None
-            previous = path
+                raise EncodingError(f"{error} (path: {format_path(node.tokens)})") from None
+            previous = node
         return bytes(out)
 
     @classmethod
@@ -196,6 +212,8 @@ class Export:
             if shared > previous.depth:
                 raise EncodingError(f"path shares {shared} tokens with a path of {previous.depth}")
             fresh, pos = read_uvarint(raw, pos)
+            if shared + fresh > MAX_DEPTH:
+                raise EncodingError(f"path of {shared + fresh} tokens, deeper than {MAX_DEPTH}")
             node = previous
             while node.depth > shared:
                 node = node.parent
@@ -215,7 +233,7 @@ class Export:
 class Engine:
     """Executes one aggregate round; never enter a single instance concurrently."""
 
-    def __init__(self, max_depth: int = 128):
+    def __init__(self, max_depth: int = MAX_DEPTH):
         self.max_depth = max_depth
         self._active = False
         self._node = ROOT

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+# the per-round trace a traced run writes
+TRACE_FILE = REPO / "perfbench" / "out" / "rounds-scr-static-seed1.csv"
 
 
 def test_a_short_traced_scr_run_counts_every_wrapped_engine_call():
@@ -17,9 +19,16 @@ def test_a_short_traced_scr_run_counts_every_wrapped_engine_call():
         sys.executable, "perfbench/workload.py",
         "--workload", "scr-static", "--seed", "1", "--horizon", "0.3", "--trace", "1",
     ]
-    finished = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=120)
+    trace_existed = TRACE_FILE.exists()
+    try:
+        finished = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=120)
+    finally:
+        if not trace_existed:
+            TRACE_FILE.unlink(missing_ok=True)
     assert finished.returncode == 0, finished.stderr
-    per_layer = json.loads(finished.stdout.strip().splitlines()[-1])["per_layer"]
+    report = json.loads(finished.stdout.strip().splitlines()[-1])
+    assert REPO / report["trace_file"] == TRACE_FILE
+    per_layer = report["per_layer"]
     assert per_layer["engine.enter_per_round"][0] == 17
     for call in ("receive", "neighbor_values", "exit"):
         assert per_layer[f"engine.{call}.calls"][0] > 0, call

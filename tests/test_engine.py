@@ -1,5 +1,8 @@
 """Engine lifecycle, alignment, state slots, exchange, export wire format."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -9,6 +12,7 @@ from fieldcast.engine import (
     KIND_BRANCH_RIGHT,
     KIND_FUNCTION,
     KIND_OPERATOR,
+    MAX_DEPTH,
     ROOT,
     ScopeToken,
     intern_path,
@@ -354,6 +358,10 @@ def test_export_wire_roundtrip():
 MAIN = ScopeToken(KIND_FUNCTION, "main", 0)
 
 
+def trie_size(node=ROOT):
+    return 1 + sum(trie_size(child) for child in node.children.values())
+
+
 def test_export_bytes_code_each_path_against_the_previous_one():
     export = Export(
         {
@@ -372,6 +380,61 @@ def test_export_bytes_code_each_path_against_the_previous_one():
         "0306"  # 3
     )
     assert len(export.to_bytes()) == 52
+
+
+def test_a_path_is_coded_against_each_predecessor_it_follows():
+    # fn main/op share follows a different path in each export, so its cached
+    # bytes must be keyed by the predecessor as well as by the node
+    share = intern_path((MAIN, ScopeToken(KIND_OPERATOR, "share", 0)))
+    after_neighbors = Export(
+        {intern_path((MAIN, ScopeToken(KIND_OPERATOR, "neighbors", 0))): 1, share: 2}
+    )
+    after_f = Export({intern_path((ScopeToken(KIND_FUNCTION, "f", 0),)): 1, share: 2})
+    assert after_neighbors.to_bytes() == bytes.fromhex(
+        "02"
+        "00" "02" "00" "05046d61696e" "01" "05096e65696768626f7273" "0302"  # main/neighbors: 1
+        "01" "01" "01" "05057368617265" "0304"  # shares fn main; op share: 2
+    )
+    assert after_f.to_bytes() == bytes.fromhex(
+        "02"
+        "00" "01" "00" "050166" "0302"  # fn f: 1
+        "00" "02" "00" "05046d61696e" "01" "05057368617265" "0304"  # shares nothing with fn f
+    )
+    for export in (after_neighbors, after_f):
+        assert Export.from_bytes(export.to_bytes()) == export
+
+
+def test_encoding_an_export_twice_gives_the_same_bytes():
+    deep = intern_path((MAIN, ScopeToken(KIND_BRANCH_LEFT, None, 40)))
+    export = Export({deep: 1.5, deep.parent: "x"})  # the second path is a prefix of the first
+    assert export.to_bytes() == export.to_bytes()
+
+
+def test_threads_encoding_new_paths_at_once_get_the_same_bytes():
+    race = ScopeToken(KIND_FUNCTION, "race", 0)
+    export = Export(
+        {intern_path((race, ScopeToken(KIND_OPERATOR, str(i), i))): i for i in range(200)}
+    )
+    start = threading.Barrier(4)
+    encoded = []
+
+    def encode():
+        start.wait(timeout=10)
+        encoded.append(export.to_bytes())
+
+    threads = [threading.Thread(target=encode) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(encoded) == 4 and len(set(encoded)) == 1
+    assert Export.from_bytes(encoded[0]) == export
 
 
 occurrences = st.integers(0, 300)  # from 32 on, a packed token takes two bytes
@@ -443,12 +506,16 @@ def test_export_wire_roundtrip_keeps_every_path_and_the_order(export):
         (bytes.fromhex("01000000" "ff"), "1 trailing bytes"),
         # a value nested 5000 sequences deep
         (bytes.fromhex("010000" + "0601" * 5000 + "00"), "nested too deeply"),
+        # one entry: shares 0, 129 new tokens right #1, value None
+        (bytes.fromhex("01008101" + "0700" * 129 + "00"), "path of 129 tokens, deeper than 128"),
     ],
-    ids=["utf8", "unhashable-key", "name-type", "shared-prefix", "trailing", "nesting"],
+    ids=["utf8", "unhashable-key", "name-type", "shared-prefix", "trailing", "nesting", "depth"],
 )
 def test_malformed_export_raises_encoding_error(raw, reason):
+    before = trie_size()
     with pytest.raises(EncodingError, match=reason):
         Export.from_bytes(raw)
+    assert trie_size() == before
 
 
 def test_a_token_name_the_wire_cannot_carry_raises_encoding_error():
@@ -456,8 +523,9 @@ def test_a_token_name_the_wire_cannot_carry_raises_encoding_error():
     with activate(engine):
         aggregate_call(7, lambda: neighbors(1.0))
     _, export = engine.cooldown()
-    with pytest.raises(EncodingError, match=r"token fn:7 has no wire form \(path: fn:7#0/op:"):
-        export.to_bytes()
+    for _ in range(2):  # a path that fails to encode is not cached, so it fails again
+        with pytest.raises(EncodingError, match=r"token fn:7 has no wire form \(path: fn:7#0/op:"):
+            export.to_bytes()
 
 
 def test_a_value_with_no_wire_form_raises_encoding_error_naming_its_path():
@@ -470,7 +538,24 @@ def test_a_value_with_no_wire_form_raises_encoding_error_naming_its_path():
 def test_a_token_kind_with_no_wire_code_raises_encoding_error():
     export = Export({intern_path((MAIN, ScopeToken("loop", None, 0))): 1})
     expected = r"token loop:None has no wire form \(path: fn:main#0/loop#0\)"
-    with pytest.raises(EncodingError, match=expected):
+    for _ in range(2):
+        with pytest.raises(EncodingError, match=expected):
+            export.to_bytes()
+
+
+def deep_path(depth):
+    return intern_path(ScopeToken(KIND_BRANCH_LEFT, None, 1) for _ in range(depth))
+
+
+def test_a_path_at_the_depth_limit_round_trips():
+    export = Export({deep_path(MAX_DEPTH): 1, deep_path(2): 2})
+    decoded = Export.from_bytes(export.to_bytes())
+    assert list(decoded.entries.items()) == list(export.entries.items())
+
+
+def test_a_path_deeper_than_the_limit_does_not_encode():
+    export = Export({deep_path(MAX_DEPTH + 1): 1})
+    with pytest.raises(EncodingError, match=r"path deeper than 128 tokens \(path: left#1/left#1/"):
         export.to_bytes()
 
 
@@ -488,10 +573,6 @@ def test_export_from_any_bytes_decodes_or_raises_encoding_error(raw):
 
 
 # -- interned paths -----------------------------------------------------------
-
-
-def trie_size(node=ROOT):
-    return 1 + sum(trie_size(child) for child in node.children.values())
 
 
 def test_engines_running_the_same_calls_reach_the_same_node():

@@ -365,3 +365,10 @@ def test_cli_traces_match_the_recorded_digests(tmp_path):
         for path in tmp_path.glob("*.csv")
     }
     assert digests == TRACE_DIGESTS
+
+
+def test_channel_wire_bytes_match_the_recorded_figure():
+    # the digest test's channel run with every export encoded; this pins every
+    # byte count the wire sends, where criterion 8 bounds a larger run's total
+    result = channel.run(config_for("channel", seed=3, duration=2.0, wire_stats=True))
+    assert result.simulator.wire_bytes == 1_582_726
