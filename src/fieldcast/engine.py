@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Mapping, NamedTuple
 
 from .errors import AlignmentError, EncodingError, UsageError, format_path
-from .fields import NeighborhoodField
+from .fields import NeighborhoodField, from_ordered
 from .values import decode_value, encode_value, read_uvarint, write_uvarint
 
 KIND_FUNCTION = "fn"
@@ -252,7 +252,20 @@ class Engine:
             raise UsageError("setup called while a round is in progress")
         self.context = context
         self._prev_slots = state if state is not None else {}
-        self._inbound = {sender: export.entries for sender, export in (inbound or {}).items()}
+        # (sender id, export entries) in ascending id order.  The own id sits
+        # at its place with the placeholder `_own`, which `_gather` fills with
+        # the own entry of the field it builds; the own previous export is
+        # kept apart for `receive`.
+        inbound = inbound or {}
+        own_id = context.device_id
+        previous = inbound.get(own_id)
+        self._own_previous = {} if previous is None else previous.entries
+        self._own: dict = {}
+        self._inbound = [
+            (sender, export.entries) for sender, export in inbound.items() if sender != own_id
+        ]
+        self._inbound.append((own_id, self._own))
+        self._inbound.sort()  # ids are distinct, so no two entry dicts are compared
         self._node = ROOT
         # (scope node, kind, name) -> how many such tokens the scope entered
         # this round; a node is entered at most once per round, so it names
@@ -280,7 +293,8 @@ class Engine:
     def _reset(self) -> None:
         self._active = False
         self.context = None
-        self._inbound = {}
+        self._inbound = []
+        self._own_previous = {}
         self._prev_slots = {}
 
     def _require_active(self) -> None:
@@ -388,22 +402,21 @@ class Engine:
         """
         if not self._active:
             raise UsageError(_NO_ROUND)
-        previous = self._inbound.get(self.context.device_id)
-        return self._gather(initial if previous is None else previous.get(self._node, initial))
+        return self._gather(self._own_previous.get(self._node, initial))
 
     def _gather(self, own: Any) -> NeighborhoodField:
-        """The other devices' entries at the current path, plus ``own`` unless missing."""
+        """Every device's entry at the current path, with ``own`` as the local one unless missing."""
         node = self._node
-        own_id = self.context.device_id
-        values = {}
-        for neighbor_id, entries in self._inbound.items():
-            if neighbor_id != own_id:
-                value = entries.get(node, _MISSING)
-                if value is not _MISSING:
-                    values[neighbor_id] = value
+        own_entries = self._own
+        own_entries.clear()
         if own is not _MISSING:
-            values[own_id] = own
-        return NeighborhoodField(own_id, values)
+            own_entries[node] = own
+        values = {}
+        for device_id, entries in self._inbound:
+            value = entries.get(node, _MISSING)
+            if value is not _MISSING:
+                values[device_id] = value
+        return from_ordered(self.context.device_id, values)
 
     # -- actuation ----------------------------------------------------------
 

@@ -3,8 +3,9 @@
 A `NeighborhoodField` is the value a node observes at one aligned program
 point: a mapping from device id to the value each aligned neighbor shared
 there, with the local device included under its own id. Fields are immutable
-after construction and every aggregation runs in ascending device-id order so
-non-commutative folds stay reproducible.
+after construction and hold their entries in ascending device-id order from
+construction on, so every accessor and aggregation reads them in that order
+without sorting or copying, and non-commutative folds stay reproducible.
 """
 
 from __future__ import annotations
@@ -20,19 +21,20 @@ class NeighborhoodField:
     __slots__ = ("owner", "_values")
 
     def __init__(self, owner: int, values: dict[int, Any]):
+        """Copy ``values``, given in any order, into ascending-id order."""
         self.owner = owner
-        self._values = dict(values)
+        self._values = dict(sorted(values.items()))
 
     # -- access -----------------------------------------------------------
 
     def ids(self) -> list[int]:
-        return sorted(self._values)
+        return list(self._values)
 
     def items(self) -> list[tuple[int, Any]]:
-        return sorted(self._values.items())
+        return list(self._values.items())
 
     def values(self) -> list[Any]:
-        return [value for _, value in sorted(self._values.items())]
+        return list(self._values.values())
 
     def get(self, device_id: int, default: Any = None) -> Any:
         return self._values.get(device_id, default)
@@ -51,7 +53,7 @@ class NeighborhoodField:
         return len(self._values)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.ids())
+        return iter(self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NeighborhoodField):
@@ -66,11 +68,12 @@ class NeighborhoodField:
 
     def exclude_self(self) -> "NeighborhoodField":
         """Drop the owner's entry; the owner id is kept for provenance."""
-        values = {k: v for k, v in self._values.items() if k != self.owner}
-        return NeighborhoodField(self.owner, values)
+        values = self._values.copy()
+        values.pop(self.owner, None)
+        return from_ordered(self.owner, values)
 
     def map_values(self, fn: Callable[[Any], Any]) -> "NeighborhoodField":
-        return NeighborhoodField(self.owner, {k: fn(v) for k, v in self._values.items()})
+        return from_ordered(self.owner, {k: fn(v) for k, v in self._values.items()})
 
     def zip_with(self, other: "NeighborhoodField", fn: Callable[[Any, Any], Any]) -> "NeighborhoodField":
         """Pointwise combination on the intersection of both key sets.
@@ -78,37 +81,32 @@ class NeighborhoodField:
         Devices present on only one side drop out silently: a neighbor that is
         misaligned (or late) at either program point contributes nothing.
         """
-        values = {
-            k: fn(v, other._values[k])
-            for k, v in self._values.items()
-            if k in other._values
-        }
-        return NeighborhoodField(self.owner, values)
+        others = other._values
+        values = {k: fn(v, others[k]) for k, v in self._values.items() if k in others}
+        return from_ordered(self.owner, values)
 
     def merge(self, other: "NeighborhoodField") -> "NeighborhoodField":
         """Key union; on collisions the right-hand field wins."""
-        values = dict(self._values)
-        values.update(other._values)
-        return NeighborhoodField(self.owner, values)
+        return NeighborhoodField(self.owner, {**self._values, **other._values})
 
     # -- aggregation --------------------------------------------------------
 
     def fold(self, initial: Any, combine: Callable[[Any, Any], Any]) -> Any:
         """Left-fold over values in ascending device-id order."""
         acc = initial
-        for _, value in sorted(self._values.items()):
+        for value in self._values.values():
             acc = combine(acc, value)
         return acc
 
     def min_value(self) -> Any:
         if not self._values:
             raise EmptyFieldError(f"min_value on empty field (owner {self.owner})")
-        return min(self.values())
+        return min(self._values.values())
 
     def max_value(self) -> Any:
         if not self._values:
             raise EmptyFieldError(f"max_value on empty field (owner {self.owner})")
-        return max(self.values())
+        return max(self._values.values())
 
     # -- arithmetic conveniences ---------------------------------------------
 
@@ -125,6 +123,18 @@ class NeighborhoodField:
 
     def __mul__(self, other: Any) -> "NeighborhoodField":
         return self._combine(other, lambda a, b: a * b)
+
+
+def from_ordered(owner: int, values: dict[int, Any]) -> NeighborhoodField:
+    """A field owning ``values``, a fresh dict already in ascending-id order.
+
+    The library's own builders use this to skip the public constructor's sort
+    and copy; it does not run ``__init__``.
+    """
+    field = object.__new__(NeighborhoodField)
+    field.owner = owner
+    field._values = values
+    return field
 
 
 def foldhood(field: NeighborhoodField, initial: Any, combine: Callable[[Any, Any], Any]) -> Any:

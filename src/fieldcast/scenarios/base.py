@@ -20,7 +20,7 @@ and any extras.  The skeleton every scenario runs lives here once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -71,6 +71,10 @@ class ScenarioConfig:
     threshold: float = 0.5  # sofl
 
     def validate(self) -> None:
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{setting.name} must be finite, not {value}")
         for name in ("spacing", "dt", "duration", "frame_interval"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")

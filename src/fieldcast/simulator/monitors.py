@@ -170,7 +170,11 @@ def render_svg_frame(environment, value_key: str | None = None, size: int = 640)
         )
 
     values = [result_value(n.result, value_key) for n in nodes]
-    numeric = [v for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    # non-finite values are painted black, so they take no part in the scale
+    numeric = [
+        v for v in values
+        if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    ]
     low = min(numeric) if numeric else 0.0
     high = max(numeric) if numeric else 1.0
 

@@ -1,7 +1,8 @@
 """The traced benchmark still runs against the engine and calculus it wraps.
 
-`perfbench/tracer.py` wraps engine and calculus methods by name, so renaming
-or deleting one of them breaks the benchmark without failing any other test.
+`perfbench/tracer.py` wraps engine, calculus and field methods by name, so
+renaming, deleting or bypassing one of them breaks the benchmark without
+failing any other test.
 """
 
 import json
@@ -32,3 +33,5 @@ def test_a_short_traced_scr_run_counts_every_wrapped_engine_call():
     assert per_layer["engine.enter_per_round"][0] == 17
     for call in ("receive", "neighbor_values", "exit"):
         assert per_layer[f"engine.{call}.calls"][0] > 0, call
+    # the tracer wraps field methods by name too: folds that bypass them read 0
+    assert per_layer["fields.fold.calls"][0] > 0

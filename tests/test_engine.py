@@ -315,6 +315,48 @@ def test_the_gathered_fields_do_not_depend_on_where_the_own_id_sits_in_the_inbou
     assert gathered.items() == [(1, "one"), (2, "sent"), (3, "three")]
 
 
+def gathered_fields(inbound, device_id):
+    """(receive("initial"), neighbor_values() after sending "sent") at one path."""
+    engine = fresh(inbound=inbound, device_id=device_id)
+    engine.enter(KIND_FUNCTION, "f")
+    received = engine.receive("initial")
+    engine.send("sent")
+    return received, engine.neighbor_values()
+
+
+@pytest.mark.parametrize(
+    "own_id, senders",
+    [
+        (4, (9, 7, 4, 2, 1)),  # inbound in descending id order
+        (1, (1, 3, 5)),  # own id smallest
+        (9, (2, 5, 9)),  # own id largest
+        (1, (5, 9, 1, 3)),  # own id smallest, inbound in no order
+        (9, (9, 5, 2)),  # own id largest, inbound descending
+    ],
+)
+def test_gathered_fields_list_ascending_ids_with_the_own_entry_at_its_place(own_id, senders):
+    inbound = exports_at(
+        path_of(("fn", "f", 0)),
+        {i: "own" if i == own_id else f"from {i}" for i in senders},
+    )
+    received, gathered = gathered_fields(inbound, own_id)
+    others = [(i, f"from {i}") for i in sorted(senders) if i != own_id]
+    assert received.items() == sorted(others + [(own_id, "own")])
+    assert gathered.items() == sorted(others + [(own_id, "sent")])
+    assert received.ids() == gathered.ids() == sorted(senders)
+
+
+@pytest.mark.parametrize("own_id", [0, 4, 9])
+def test_gathered_fields_without_an_own_export_put_the_own_entry_at_its_place(own_id):
+    # first round: the own id is absent from the inbound, given in descending order
+    senders = tuple(i for i in (8, 6, 3, 1) if i != own_id)
+    inbound = exports_at(path_of(("fn", "f", 0)), {i: f"from {i}" for i in senders})
+    received, gathered = gathered_fields(inbound, own_id)
+    others = [(i, f"from {i}") for i in sorted(senders)]
+    assert received.items() == sorted(others + [(own_id, "initial")])
+    assert gathered.items() == sorted(others + [(own_id, "sent")])
+
+
 # -- determinism ----------------------------------------------------------------
 
 

@@ -122,3 +122,72 @@ def test_map_then_fold_equals_fold_of_mapped_combine(mapping):
     assert f.map_values(double).fold(0, operator.add) == f.fold(
         0, lambda acc, v: acc + double(v)
     )
+
+
+# -- ascending-id order from construction ----------------------------------------
+#
+# The reference below is the sort-on-access semantics: every accessor sorts the
+# entries by id when called.  A field now orders its entries once, when it is
+# built, and must read the same through every accessor and transform.
+
+
+def reference_items(mapping):
+    return sorted(mapping.items())
+
+
+def reference_repr(owner, mapping):
+    inner = ", ".join(f"{k}: {v!r}" for k, v in reference_items(mapping))
+    return f"NeighborhoodField(owner={owner}, {{{inner}}})"
+
+
+def shuffled(mapping, data):
+    """``mapping`` with its entries inserted in an order Hypothesis picks."""
+    return dict(data.draw(st.permutations(list(mapping.items()))))
+
+
+def assert_reads_as(f, owner, mapping):
+    items = reference_items(mapping)
+    assert f.owner == owner
+    assert f.ids() == [k for k, _ in items]
+    assert f.items() == items
+    assert f.values() == [v for _, v in items]
+    assert list(f) == [k for k, _ in items]
+    assert f.fold((), lambda acc, v: acc + (v,)) == tuple(v for _, v in items)
+    assert repr(f) == reference_repr(owner, mapping)
+    if items:
+        assert f.min_value() == min(v for _, v in items)
+        assert f.max_value() == max(v for _, v in items)
+
+
+any_ids = st.dictionaries(st.integers(min_value=-5, max_value=40), st.integers(), max_size=10)
+
+
+@given(any_ids, any_ids, st.integers(min_value=-5, max_value=40), st.data())
+def test_every_accessor_and_transform_matches_the_sort_on_access_reference(
+    left, right, owner, data
+):
+    left, right = shuffled(left, data), shuffled(right, data)
+    a, b = field(owner, left), field(owner, right)
+    assert_reads_as(a, owner, left)
+
+    assert_reads_as(a.exclude_self(), owner, {k: v for k, v in left.items() if k != owner})
+    assert_reads_as(a.map_values(lambda v: v * 3), owner, {k: v * 3 for k, v in left.items()})
+    assert_reads_as(
+        a.zip_with(b, lambda x, y: (x, y)),
+        owner,
+        {k: (v, right[k]) for k, v in left.items() if k in right},
+    )
+    assert_reads_as(a.merge(b), owner, {**left, **right})
+    assert_reads_as(a - b, owner, {k: v - right[k] for k, v in left.items() if k in right})
+
+
+@given(any_ids, st.integers(), st.data())
+def test_mutating_the_dict_after_construction_leaves_the_field_unchanged(mapping, owner, data):
+    mapping = shuffled(mapping, data)
+    snapshot = dict(mapping)
+    f = field(owner, mapping)
+    mapping[max(mapping, default=0) + 1] = "added"
+    mapping.pop(min(mapping))
+    for key in mapping:
+        mapping[key] = "changed"
+    assert_reads_as(f, owner, snapshot)

@@ -1,5 +1,6 @@
 """Scenario runners and the command-line interface (desk-scale configs)."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -220,6 +221,29 @@ def test_config_validation():
         channel.run(config_for("channel", n=-3))
 
 
+FLOAT_SETTINGS = [
+    "spacing", "noise", "radius", "dt", "duration", "frame_interval", "width",
+    "leader_radius", "speed", "noise_amplitude", "learning_rate", "threshold",
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_SETTINGS)
+def test_config_validation_rejects_non_finite_numbers(name, value):
+    # validate only: a run with an infinite duration would never end
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        config_for("gossip-max", **{name: value}).validate()
+
+
+def test_every_float_setting_is_checked_for_finiteness():
+    floats = {
+        setting.name
+        for setting in dataclasses.fields(ScenarioConfig)
+        if "float" in str(setting.type)
+    }
+    assert floats == set(FLOAT_SETTINGS)
+
+
 @pytest.mark.parametrize("name", ["channel", "scr", "gossip-max"])
 def test_node_count_deploys_a_disc_in_lattice_scenarios(name):
     config = config_for(name, n=30, radius=0.6, duration=5.0, check=True)
@@ -253,6 +277,13 @@ def test_cli_unknown_flag_is_usage_error():
 
 def test_cli_negative_node_count_is_usage_error():
     assert main(["run", "gossip-max", "--n", "-3", "--duration", "1"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--radius"])
+def test_cli_non_finite_number_is_usage_error(flag, capsys):
+    # a finite duration, so a missed check still ends quickly and fails here
+    assert main(["run", "gossip-max", flag, "nan", "--duration", "2"]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_cli_missing_command_is_usage_error():

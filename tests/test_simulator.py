@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import re
 
 import pytest
 
@@ -627,6 +628,20 @@ def test_render_handles_empty_and_boolean_fields():
     node = sim.add_node((0.0, 0.0))
     node.result = True
     assert "circle" in render_svg_frame(sim.environment)
+
+
+def test_render_scales_colours_on_the_finite_values_only():
+    sim = Simulator()
+    for x, value in enumerate([0.0, 1.0, 2.0, math.inf, math.nan]):
+        sim.add_node((float(x), 0.0)).result = value
+    fills = re.findall(r'<circle [^>]*fill="([^"]+)"', render_svg_frame(sim.environment))
+    assert fills == [
+        "hsl(240, 70%, 50%)",  # lowest finite value: blue
+        "hsl(120, 70%, 50%)",
+        "hsl(0, 70%, 50%)",  # highest finite value: red
+        "#000000",  # non-finite values stay black
+        "#000000",
+    ]
 
 
 # -- seeding ----------------------------------------------------------------
