@@ -1,9 +1,9 @@
 """fieldcast: an aggregate-computing runtime with a native simulator.
 
-Programs are plain Python functions built from three core operators
-(``remember``, ``neighbors``, ``branch``) plus a library of self-organizing
-building blocks (gradients, broadcast, convergecast, gossip, leader
-election).  A deterministic discrete-event simulator executes them over
+Programs are plain Python functions built from four core operators
+(``remember``, ``neighbors``, ``share``, ``branch``) plus a library of
+self-organizing building blocks (gradients, broadcast, convergecast, gossip,
+leader election).  A deterministic discrete-event simulator executes them over
 configurable topologies and deployments.
 """
 

@@ -1,11 +1,13 @@
 """Programmer-facing core operators: state, neighbor exchange, branching.
 
-Aggregate programs are ordinary Python functions built from three operators:
+Aggregate programs are ordinary Python functions built from four operators:
 
 * ``remember`` evolves state across rounds and returns a setter plus the
   current value, keeping reads and updates explicit;
 * ``neighbors`` shares a value with aligned neighbors and returns their
   values as a `NeighborhoodField`;
+* ``share`` updates a value from the neighbors' latest shared values and
+  shares the result in the same step; the building blocks rest on it;
 * ``branch`` evaluates one of two thunks inside a branch scope, so only
   devices that took the same side exchange values within it.
 

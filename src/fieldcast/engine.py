@@ -19,8 +19,9 @@ the very same node.  Nodes live only in memory: `Engine.path` and
 every token (see `Export`), and a decoded export interns its paths so they
 align with the local ones.  Each node caches its path's wire bytes per
 predecessor, so tokens are encoded once rather than every round, in the same
-format.  A path is at most `MAX_DEPTH` tokens deep, in a round and on the
-wire.  `intern_path` is the one conversion from a token sequence to its node.
+format.  `PathNode.child` makes no node deeper than `MAX_DEPTH` tokens, so no
+longer path exists in a round, on the wire or in the trie.  `intern_path` is
+the one conversion from a token sequence to its node.
 
 Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
 ``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state to
@@ -46,7 +47,7 @@ KIND_BRANCH_RIGHT = "right"
 _KINDS = (KIND_FUNCTION, KIND_OPERATOR, KIND_BRANCH_LEFT, KIND_BRANCH_RIGHT)
 _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
-# The deepest alignment path a round may enter or the wire may carry.
+# The deepest alignment path that may exist: `PathNode.child` makes no deeper node.
 MAX_DEPTH = 128
 
 _MISSING = object()
@@ -91,12 +92,16 @@ class PathNode:
         self.wire: dict[PathNode, bytes] = {}
 
     def child(self, kind: str, name: str | None, occurrence: int) -> PathNode:
-        """The node one token deeper, made on first use."""
+        """The node one token deeper, made on first use unless it would exceed `MAX_DEPTH`."""
         key = (kind, name, occurrence)
         node = self.children.get(key)
         if node is None:
+            token = ScopeToken(kind, name, occurrence)
+            if self.depth >= MAX_DEPTH:
+                path = self.tokens + (token,)
+                raise AlignmentError(path, f"alignment depth exceeds limit of {MAX_DEPTH}")
             # setdefault keeps a single node when two threads race here
-            node = self.children.setdefault(key, PathNode(self, ScopeToken(kind, name, occurrence)))
+            node = self.children.setdefault(key, PathNode(self, token))
         return node
 
     def __repr__(self) -> str:
@@ -117,8 +122,6 @@ def intern_path(path) -> PathNode:
 def _wire_code(node: PathNode, previous: PathNode) -> bytes:
     """Cache the bytes coding ``node``'s path after ``previous``'s; a failure caches nothing."""
     path = node.tokens
-    if node.depth > MAX_DEPTH:
-        raise EncodingError(f"path deeper than {MAX_DEPTH} tokens (path: {format_path(path)})")
     shared = previous  # walk up to the longest prefix both paths share
     while shared.depth > node.depth or path[: shared.depth] != shared.tokens:
         shared = shared.parent
@@ -165,7 +168,7 @@ class Export:
     new tokens follow, and each new token as the varint ``occurrence << 2 |
     kind code`` followed by its name.  The entry's value comes next.  These
     path bytes are cached per predecessor on the node (``PathNode.wire``), and
-    a path deeper than `MAX_DEPTH` raises `EncodingError` both ways.
+    decoding rejects a path deeper than `MAX_DEPTH` before interning a token.
     """
 
     __slots__ = ("entries",)
@@ -233,10 +236,9 @@ class Export:
 class Engine:
     """Executes one aggregate round; never enter a single instance concurrently."""
 
-    def __init__(self, max_depth: int = MAX_DEPTH):
-        self.max_depth = max_depth
-        self._active = False
+    def __init__(self):
         self._node = ROOT
+        # set exactly while a round is in progress
         self.context: NodeContext | None = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -248,9 +250,8 @@ class Engine:
         state: dict[PathNode, Any] | None = None,
     ) -> None:
         """Begin a round on the inbound exports and the slots the last ``cooldown`` returned."""
-        if self._active:
+        if self.context is not None:
             raise UsageError("setup called while a round is in progress")
-        self.context = context
         self._prev_slots = state if state is not None else {}
         # (sender id, export entries) in ascending id order.  The own id sits
         # at its place with the placeholder `_own`, which `_gather` fills with
@@ -275,30 +276,22 @@ class Engine:
         self._slot_current: dict = {}
         self._export: dict = {}
         self.staged_actuations: dict[str, Any] = {}
-        self._active = True
+        self.context = context
 
     def cooldown(self) -> tuple[dict[PathNode, Any], Export]:
         """End the round: return the slots visited this round and the outbound export."""
-        self._require_active()
+        self._require_round()
         if self._node is not ROOT:
             raise AlignmentError(self._node.tokens, "round ended with unbalanced enter/exit")
-        slots, export = self._slots, Export(self._export)
-        self._reset()
-        return slots, export
+        self.context = None
+        return self._slots, Export(self._export)
 
     def abort(self) -> None:
         """Discard the round in progress (after an alignment error)."""
-        self._reset()
-
-    def _reset(self) -> None:
-        self._active = False
         self.context = None
-        self._inbound = []
-        self._own_previous = {}
-        self._prev_slots = {}
 
-    def _require_active(self) -> None:
-        if not self._active:
+    def _require_round(self) -> None:
+        if self.context is None:
             raise UsageError(_NO_ROUND)
 
     # -- alignment ----------------------------------------------------------
@@ -310,9 +303,10 @@ class Engine:
     def enter(self, kind: str, name: str | None = None) -> PathNode:
         """Push a scope token and return the new path's node.
 
-        Occurrence counters restart per parent scope and per round.
+        Occurrence counters restart per parent scope and per round.  A token
+        that would take the path past `MAX_DEPTH` raises `AlignmentError`.
         """
-        if not self._active:
+        if self.context is None:
             raise UsageError(_NO_ROUND)
         parent = self._node
         occurrences = self._occurrences
@@ -322,14 +316,12 @@ class Engine:
         node = parent.children.get((kind, name, occurrence))
         if node is None:
             node = parent.child(kind, name, occurrence)
-        if node.depth > self.max_depth:
-            raise AlignmentError(node.tokens, f"alignment depth exceeds limit of {self.max_depth}")
         self._node = node
         return node
 
     def exit(self) -> None:
         """Pop the innermost scope token."""
-        if not self._active:
+        if self.context is None:
             raise UsageError(_NO_ROUND)
         node = self._node
         if node is ROOT:
@@ -344,28 +336,26 @@ class Engine:
         First round yields ``initial``; later rounds yield whatever was set
         last round (or the carried-forward value if never set).
         """
-        if not self._active:
+        if self.context is None:
             raise UsageError(_NO_ROUND)
         node = self._node
         if node in self._slot_current:
             raise AlignmentError(node.tokens, "state slot claimed twice in one round")
-        current = self._prev_slots.get(node, _MISSING)
-        if current is _MISSING:
-            current = initial
+        current = self._prev_slots.get(node, initial)
         self._slot_current[node] = current
         self._slots[node] = current  # carry forward unless set_slot overrides
         return current, node
 
     def set_slot(self, node: PathNode, value: Any) -> None:
         """Stage ``value`` for the next round; last write wins."""
-        self._require_active()
+        self._require_round()
         if node not in self._slot_current:
             raise UsageError("set_slot on a slot not claimed this round (stale handle?)")
         self._slots[node] = value
 
     def slot_value(self, node: PathNode) -> Any:
         """The slot's round-start value (staged writes do not show here)."""
-        self._require_active()
+        self._require_round()
         if node not in self._slot_current:
             raise UsageError("slot_value on a slot not claimed this round (stale handle?)")
         return self._slot_current[node]
@@ -374,7 +364,7 @@ class Engine:
 
     def send(self, value: Any) -> None:
         """Stage ``value`` into the export at the current path."""
-        if not self._active:
+        if self.context is None:
             raise UsageError(_NO_ROUND)
         node = self._node
         if node in self._export:
@@ -388,7 +378,7 @@ class Engine:
         (misaligned neighbors drop out).  The local device is included with
         the value sent this round, if any.
         """
-        if not self._active:
+        if self.context is None:
             raise UsageError(_NO_ROUND)
         return self._gather(self._export.get(self._node, _MISSING))
 
@@ -400,7 +390,7 @@ class Engine:
         ``initial`` when that export lacks this path; this is what lets a
         read-update-send operator carry its state in the export itself.
         """
-        if not self._active:
+        if self.context is None:
             raise UsageError(_NO_ROUND)
         return self._gather(self._own_previous.get(self._node, initial))
 
@@ -421,5 +411,5 @@ class Engine:
     # -- actuation ----------------------------------------------------------
 
     def stage_actuation(self, name: str, value: Any) -> None:
-        self._require_active()
+        self._require_round()
         self.staged_actuations[name] = value

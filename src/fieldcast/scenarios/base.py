@@ -36,9 +36,7 @@ from ..simulator import (
     radius_neighborhood,
     random_in_circle,
 )
-
-# Window of identical per-node values that counts as a stabilized field.
-STABILITY_WINDOW = 10
+from ..simulator.monitors import STABILITY_WINDOW
 
 
 @dataclass
@@ -157,7 +155,7 @@ def simulate(
     simulator.attach_monitor(recorder)
     stability = None
     if stability_checked:
-        stability = StabilityTracker(stable_key or value_key, STABILITY_WINDOW)
+        stability = StabilityTracker(stable_key or value_key)
         simulator.attach_monitor(stability)
     if config.out:
         simulator.attach_monitor(CsvTraceMonitor(Path(config.out), value_key))

@@ -3,8 +3,9 @@
 Monitors observe the simulation read-only.  They receive ``on_start`` when a
 run begins, ``on_event`` after every processed event (the popped
 ``(time, sequence, fn, args)`` tuple), ``on_round`` after each completed node
-round, and ``on_finish`` when the run ends.  A monitor that raises aborts the
-run; that is deliberate.
+round, and ``on_finish`` when the run ends.  Each ``Simulator.run`` call is
+one run; the file-writing monitors continue where the previous one stopped.
+A monitor that raises aborts the run; that is deliberate.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from typing import Any
 
 from .core import Simulator
 from .node import Node
+
+# Rounds of identical per-node values that count as a stabilized field.
+STABILITY_WINDOW = 10
 
 
 class Monitor:
@@ -55,12 +59,15 @@ class CsvTraceMonitor(Monitor):
         self.path = Path(path)
         self.value_key = value_key
         self._file = None
+        self._mode = "w"
 
     def on_start(self, simulator: Simulator) -> None:
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("w", encoding="utf-8", newline="\n")
-            self._file.write("time,node_id,x,y,value\n")
+            self._file = self.path.open(self._mode, encoding="utf-8", newline="\n")
+            if self._mode == "w":
+                self._file.write("time,node_id,x,y,value\n")
+            self._mode = "a"  # a later run appends to the trace this one began
 
     def on_round(self, simulator: Simulator, node: Node) -> None:
         value = result_value(node.result, self.value_key)
@@ -99,7 +106,7 @@ class StabilityTracker(Monitor):
     ``window`` rounds with an identical value.
     """
 
-    def __init__(self, value_key: str | None = None, window: int = 10):
+    def __init__(self, value_key: str | None = None, window: int = STABILITY_WINDOW):
         self.value_key = value_key
         self.window = window
         self._streak: dict[int, int] = {}
@@ -128,12 +135,13 @@ class FrameMonitor(Monitor):
         self.directory = Path(directory)
         self.interval = interval
         self.value_key = value_key
-        self._next_time = 0.0
+        self._next_time: float | None = None
         self._index = 0
 
     def on_start(self, simulator: Simulator) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._next_time = simulator.time
+        if self._next_time is None:  # a later run keeps the schedule
+            self._next_time = simulator.time
 
     def on_event(self, simulator: Simulator, event) -> None:
         while simulator.time >= self._next_time:

@@ -14,6 +14,7 @@ from fieldcast import (
     remember,
     share,
 )
+from fieldcast.engine import MAX_DEPTH
 from fieldcast.errors import AlignmentError, UsageError
 from netharness import SweepNetwork, clique_topology, line_topology
 
@@ -268,7 +269,7 @@ def test_aggregate_call_is_transparent_for_pure_bodies():
 
 
 def test_recursion_limit_raises_clear_error():
-    engine = Engine(max_depth=16)
+    engine = Engine()
     context = NodeContext(0, (0.0, 0.0), 0.0, {})
 
     @aggregate
@@ -277,8 +278,9 @@ def test_recursion_limit_raises_clear_error():
 
     with activate(engine):
         engine.setup(context, {}, None)
-        with pytest.raises(AlignmentError, match="depth"):
+        with pytest.raises(AlignmentError, match="depth exceeds limit of 128") as caught:
             forever()
+    assert len(caught.value.path) == MAX_DEPTH + 1
 
 
 def test_body_errors_propagate_with_path_restored():

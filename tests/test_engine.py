@@ -130,9 +130,8 @@ def test_identical_call_sequences_on_two_nodes_reach_identical_paths():
 
 
 def test_depth_limit():
-    engine = Engine(max_depth=3)
-    engine.setup(ctx(), {}, None)
-    for _ in range(3):
+    engine = fresh()
+    for _ in range(MAX_DEPTH):
         engine.enter(KIND_FUNCTION, "f")
     with pytest.raises(AlignmentError):
         engine.enter(KIND_FUNCTION, "f")
@@ -404,6 +403,10 @@ def trie_size(node=ROOT):
     return 1 + sum(trie_size(child) for child in node.children.values())
 
 
+def trie_depth(node=ROOT):
+    return max((trie_depth(child) for child in node.children.values()), default=node.depth)
+
+
 def test_export_bytes_code_each_path_against_the_previous_one():
     export = Export(
         {
@@ -596,9 +599,21 @@ def test_a_path_at_the_depth_limit_round_trips():
 
 
 def test_a_path_deeper_than_the_limit_does_not_encode():
-    export = Export({deep_path(MAX_DEPTH + 1): 1})
-    with pytest.raises(EncodingError, match=r"path deeper than 128 tokens \(path: left#1/left#1/"):
-        export.to_bytes()
+    # no export can hold such a path, because no node for it can be made
+    with pytest.raises(AlignmentError, match=r"exceeds limit of 128 \(path: left#1/left#1/") as caught:
+        Export({deep_path(MAX_DEPTH + 1): 1})
+    assert len(caught.value.path) == MAX_DEPTH + 1
+
+
+def test_no_node_deeper_than_the_limit_is_ever_interned():
+    engine = fresh()
+    for _ in range(MAX_DEPTH):
+        engine.enter(KIND_OPERATOR, "deep")
+    with pytest.raises(AlignmentError):
+        engine.enter(KIND_OPERATOR, "deeper")
+    with pytest.raises(AlignmentError, match="alignment depth exceeds limit of 128"):
+        intern_path([ScopeToken(KIND_BRANCH_RIGHT, None, 7)] * (MAX_DEPTH + 1))
+    assert trie_depth() == MAX_DEPTH
 
 
 @given(st.binary(max_size=64))
@@ -676,14 +691,17 @@ def test_a_decoded_export_gives_the_same_field_as_the_export_itself():
 
 
 def test_depth_limit_error_names_the_rejected_path():
-    engine = Engine(max_depth=2)
-    engine.setup(ctx(), {}, None)
+    engine = fresh()
     engine.enter(KIND_FUNCTION, "f")
-    engine.enter(KIND_BRANCH_RIGHT)
+    for _ in range(MAX_DEPTH - 1):
+        engine.enter(KIND_BRANCH_RIGHT)
+    parent = path_of(("fn", "f", 0), *[("right", None, 0)] * (MAX_DEPTH - 1))
     with pytest.raises(AlignmentError) as caught:
         engine.enter(KIND_OPERATOR, "share")
-    assert caught.value.path == path_of(("fn", "f", 0), ("right", None, 0), ("op", "share", 0))
+    assert caught.value.path == parent + path_of(("op", "share", 0))
     assert str(caught.value) == (
-        "alignment depth exceeds limit of 2 (path: fn:f#0/right#0/op:share#0)"
+        "alignment depth exceeds limit of 128 (path: fn:f#0"
+        + "/right#0" * (MAX_DEPTH - 1)
+        + "/op:share#0)"
     )
-    assert engine.path == path_of(("fn", "f", 0), ("right", None, 0))
+    assert engine.path == parent

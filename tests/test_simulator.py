@@ -21,6 +21,7 @@ from fieldcast.stdlib import (
 )
 from fieldcast.simulator import (
     CsvTraceMonitor,
+    FrameMonitor,
     Monitor,
     Simulator,
     TraceRecorder,
@@ -605,9 +606,35 @@ def test_csv_trace_format(tmp_path):
     assert times == sorted(times)
 
 
-def test_frame_monitor_writes_svg(tmp_path):
-    from fieldcast.simulator import FrameMonitor
+@aggregate
+def round_counter():
+    set_count, count = remember(0)
+    set_count(count + 1)
+    return count
 
+
+def lattice_outputs(directory, stops):
+    """CSV trace and frames of a 2x2 lattice advanced by one ``run`` per stop."""
+    sim = Simulator(seed=3)
+    sim.environment.set_neighborhood_function(radius_neighborhood(1.5))
+    deformed_lattice(sim, 2, 2, 1.0, 0.1)
+    sim.attach_monitor(CsvTraceMonitor(directory / "trace.csv"))
+    sim.attach_monitor(FrameMonitor(directory / "frames", interval=1.0))
+    schedule_everywhere(sim, 1.0, round_counter)
+    for until in stops:
+        sim.run(until)
+    return {str(path.relative_to(directory)): path.read_bytes() for path in directory.rglob("*.*")}
+
+
+def test_a_run_resumed_in_parts_writes_what_one_run_writes(tmp_path):
+    whole = lattice_outputs(tmp_path / "whole", [4.0])
+    assert len(whole["trace.csv"].splitlines()) == 1 + 5 * 4  # rounds at t = 0..4
+    assert sorted(whole) == [f"frames/frame_{i}.svg" for i in range(5)] + ["trace.csv"]
+    # one stop on a frame boundary, one between two
+    assert lattice_outputs(tmp_path / "split", [1.0, 2.5, 4.0]) == whole
+
+
+def test_frame_monitor_writes_svg(tmp_path):
     sim = Simulator()
     sim.environment.set_neighborhood_function(full_neighborhood())
     sim.add_node((0.0, 0.0))
