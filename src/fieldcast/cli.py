@@ -108,8 +108,8 @@ def main(argv=None) -> int:
         return int(exit_request.code or 0)
 
     if args.command == "list":
-        for spec in SCENARIOS.values():
-            print(f"{spec.name:12s} {spec.description}")
+        for name, spec in SCENARIOS.items():
+            print(f"{name:12s} {spec.description}")
         return 0
 
     try:
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         return 2
 
     summary = (
-        f"{result.scenario}: {len(result.results)} nodes, "
+        f"{config.scenario}: {len(result.results)} nodes, "
         f"{result.simulator.rounds_executed} rounds, seed {config.seed}"
     )
     if config.wire_stats:

@@ -67,7 +67,11 @@ class NeighborhoodField:
     # -- transforms ---------------------------------------------------------
 
     def exclude_self(self) -> "NeighborhoodField":
-        """Drop the owner's entry; the owner id is kept for provenance."""
+        """A copy without the owner's entry; the owner id is kept for provenance.
+
+        Use it for a field to pass on or combine.  A loop that only needs to
+        skip the owner should iterate the field itself and test ``field.owner``.
+        """
         values = self._values.copy()
         values.pop(self.owner, None)
         return from_ordered(self.owner, values)

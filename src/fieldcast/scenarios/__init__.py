@@ -9,7 +9,6 @@ from .base import CheckResult, RunResult, ScenarioConfig
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    name: str
     run: Callable[[ScenarioConfig], RunResult]
     defaults: dict
     description: str
@@ -17,31 +16,26 @@ class ScenarioSpec:
 
 SCENARIOS: dict[str, ScenarioSpec] = {
     "channel": ScenarioSpec(
-        "channel",
         channel.run,
         channel.DEFAULTS,
         "devices within a width of the shortest source-target path",
     ),
     "scr": ScenarioSpec(
-        "scr",
         scr.run,
         scr.DEFAULTS,
         "coordination regions: leader election, per-region node counts",
     ),
     "gossip-max": ScenarioSpec(
-        "gossip-max",
         gossipmax.run,
         gossipmax.DEFAULTS,
         "network-wide maximum via epidemic gossip",
     ),
     "flocking": ScenarioSpec(
-        "flocking",
         flocking.run,
         flocking.DEFAULTS,
         "heading alignment with constant-speed motion",
     ),
     "sofl": ScenarioSpec(
-        "sofl",
         sofl.run,
         sofl.DEFAULTS,
         "self-organizing federated learning on an analytic toy model",

@@ -13,8 +13,10 @@ and any extras.  The skeleton every scenario runs lives here once:
   optional CSV trace and SVG frames), schedules
   every node at t = 0, runs to ``duration`` and snapshots the final results
   and positions into a ``RunResult``.  It is the one place a run passes
-  through, so run-wide instrumentation belongs here.
-* ``stability_check`` reads the run's tracker as the ``stabilized`` check.
+  through, so run-wide instrumentation belongs here.  When it attached a
+  tracker and ``config.check`` is set, it also appends the ``stabilized``
+  check (``stability_check``) as the run's first check; the scenario appends
+  its oracle checks after it.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class ScenarioConfig:
             value = getattr(self, setting.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"{setting.name} must be finite, not {value}")
-        for name in ("spacing", "dt", "duration", "frame_interval"):
+        for name in ("spacing", "dt", "duration", "frame_interval", "threshold"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         for name in ("n", "noise", "radius"):
@@ -81,6 +83,14 @@ class ScenarioConfig:
                 raise DomainError(f"{name} must be non-negative")
         if self.duration < self.dt:
             raise DomainError("duration must be at least one round period")
+        if self.leader_radius is not None and self.leader_radius <= 0:
+            raise DomainError("leader_radius must be positive")
+        if self.model_dim <= 0:
+            raise DomainError("model dimension must be positive")
+        if not 0.0 < self.learning_rate < 1.0:
+            raise DomainError("learning rate must lie in (0, 1)")
+        if self.clusters <= 0:
+            raise DomainError("cluster count must be positive")
 
     def overridden(self, **changes) -> "ScenarioConfig":
         return replace(self, **changes)
@@ -102,7 +112,6 @@ class CheckResult:
 class RunResult:
     """Outcome of a scenario run: final field values, the run's monitors, oracle verdicts."""
 
-    scenario: str
     config: ScenarioConfig
     simulator: Simulator
     results: dict[int, Any]
@@ -135,7 +144,6 @@ def build_simulator(config: ScenarioConfig) -> Simulator:
 
 
 def simulate(
-    name: str,
     config: ScenarioConfig,
     simulator: Simulator,
     program: Callable,
@@ -147,9 +155,10 @@ def simulate(
 
     ``value_key`` picks the traced value out of dict results for the CSV
     trace and the frames; the stability tracker follows ``stable_key``, or
-    ``value_key`` when no ``stable_key`` is given.  A scenario that never
-    runs ``stability_check`` passes ``stability_checked=False``: no tracker
-    is attached and ``RunResult.stability`` is None.
+    ``value_key`` when no ``stable_key`` is given, and with ``config.check``
+    its verdict is the first of ``RunResult.checks``.  A scenario without a
+    stability check passes ``stability_checked=False``: no tracker is
+    attached and ``RunResult.stability`` is None.
     """
     recorder = TraceRecorder()
     simulator.attach_monitor(recorder)
@@ -165,8 +174,7 @@ def simulate(
     for node in nodes:
         simulator.schedule_event(0.0, aggregate_program_runner, simulator, config.dt, node, program)
     simulator.run(config.duration)
-    return RunResult(
-        name,
+    result = RunResult(
         config,
         simulator,
         {node.id: node.result for node in nodes},
@@ -174,6 +182,9 @@ def simulate(
         recorder,
         stability,
     )
+    if stability is not None and config.check:
+        result.checks.append(stability_check(result))
+    return result
 
 
 def stability_check(result: RunResult) -> CheckResult:

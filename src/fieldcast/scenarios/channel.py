@@ -13,7 +13,7 @@ import math
 from ..calculus import aggregate
 from ..stdlib import collect_or, distance_to, neighbors_distances, sense
 from . import oracles
-from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
 DEFAULTS: dict = {}
 
@@ -39,9 +39,8 @@ def run(config: ScenarioConfig) -> RunResult:
     nodes[0].data["source"] = True
     nodes[-1].data["target"] = True
 
-    result = simulate("channel", config, simulator, make_program(width))
+    result = simulate(config, simulator, make_program(width))
     if config.check:
-        result.checks.append(stability_check(result))
         result.checks.append(
             _channel_oracle(config, result.results, result.positions, width, nodes[0].id, nodes[-1].id)
         )

@@ -55,9 +55,7 @@ def run(config: ScenarioConfig) -> RunResult:
     simulator = build_simulator(config)
     simulator.register_actuator("heading", motion_actuator(config.speed, config.dt))
 
-    result = simulate(
-        "flocking", config, simulator, make_program(config.noise_amplitude), stability_checked=False
-    )
+    result = simulate(config, simulator, make_program(config.noise_amplitude), stability_checked=False)
     phi_series = polarization_series(result.recorder, len(result.results))
     if config.check:
         result.checks.extend(_flocking_checks(config, result.recorder, phi_series))

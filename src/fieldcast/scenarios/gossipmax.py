@@ -13,7 +13,7 @@ import math
 from ..calculus import aggregate
 from ..stdlib import gossip_max, sense
 from . import oracles
-from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
 DEFAULTS = {"rows": 10, "cols": 10}
 
@@ -29,10 +29,9 @@ def run(config: ScenarioConfig) -> RunResult:
     for node in nodes:
         node.data = {"value": node.rng.random()}
 
-    result = simulate("gossip-max", config, simulator, gossip_main)
+    result = simulate(config, simulator, gossip_main)
     true_max = max(node.data["value"] for node in nodes)
     if config.check:
-        result.checks.append(stability_check(result))
         result.checks.extend(_gossip_checks(config, result, true_max))
     result.extras["true_max"] = true_max
     return result

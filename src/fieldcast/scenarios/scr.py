@@ -19,7 +19,7 @@ from ..stdlib import (
     neighbors_distances,
 )
 from . import oracles
-from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
 DEFAULTS = {"duration": 15.0}
 
@@ -56,9 +56,8 @@ def run(config: ScenarioConfig) -> RunResult:
             extent = math.hypot((config.rows - 1) * config.spacing, (config.cols - 1) * config.spacing)
         leader_radius = max(0.25 * extent, config.spacing)
 
-    result = simulate("scr", config, simulator, make_program(leader_radius), value_key="region")
+    result = simulate(config, simulator, make_program(leader_radius), value_key="region")
     if config.check:
-        result.checks.append(stability_check(result))
         result.checks.extend(region_checks(config, result.results, result.positions, leader_radius))
     result.extras["leader_radius"] = leader_radius
     return result

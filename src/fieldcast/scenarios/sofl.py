@@ -13,7 +13,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..calculus import aggregate, remember
-from ..errors import DomainError
 from ..stdlib import (
     average_weights,
     broadcast,
@@ -25,7 +24,7 @@ from ..stdlib import (
     sense,
 )
 from ..simulator import CsvTraceMonitor
-from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate, stability_check
+from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
 DEFAULTS = {"rows": 8, "cols": 8, "radius": 0.15}
 
@@ -81,12 +80,6 @@ def make_program(threshold: float, learning_rate: float):
 
 
 def run(config: ScenarioConfig) -> RunResult:
-    if config.model_dim <= 0:
-        raise DomainError("model dimension must be positive")
-    if not 0.0 < config.learning_rate < 1.0:
-        raise DomainError("learning rate must lie in (0, 1)")
-    if config.clusters <= 0:
-        raise DomainError("cluster count must be positive")
     simulator = build_simulator(config)
     assign_clusters(simulator, config)
     if config.out:
@@ -96,7 +89,6 @@ def run(config: ScenarioConfig) -> RunResult:
         )
 
     result = simulate(
-        "sofl",
         config,
         simulator,
         make_program(config.threshold, config.learning_rate),
@@ -105,7 +97,6 @@ def run(config: ScenarioConfig) -> RunResult:
     )
     clusters = {node.id: node.data["cluster"] for node in simulator.environment.node_list()}
     if config.check:
-        result.checks.append(stability_check(result))
         result.checks.append(purity_check(result.results, clusters))
     result.extras["clusters"] = clusters
     result.extras["purity"] = federation_purity(result.results, clusters)

@@ -22,8 +22,8 @@ def find_parent(potential: float) -> int:
 
     def publish(estimates: NeighborhoodField) -> float:
         nonlocal best
-        for neighbor_id, neighbor_potential in estimates.exclude_self().items():
-            if neighbor_potential < potential:
+        for neighbor_id, neighbor_potential in estimates.items():
+            if neighbor_id != me and neighbor_potential < potential:
                 key = (neighbor_potential, neighbor_id)
                 if best is None or key < best:
                     best = key
@@ -47,8 +47,8 @@ def collect_with(potential: float, local: Any, accumulate: Callable[[Any, Any], 
 
     def update(links: NeighborhoodField) -> tuple:
         result = local
-        for _, entry in links.exclude_self().items():
-            if entry[0] == me:
+        for neighbor_id, entry in links.items():
+            if neighbor_id != me and entry[0] == me:
                 result = accumulate(result, entry[1])
         return (parent, result)
 

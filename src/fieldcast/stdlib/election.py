@@ -50,8 +50,8 @@ def leader_election(radius: float, metric: NeighborhoodField) -> ElectionResult:
 
     def compete(tables: NeighborhoodField) -> dict:
         merged: dict = {}
-        for neighbor_id, table in tables.exclude_self().items():
-            if neighbor_id not in metric:
+        for neighbor_id, table in tables.items():
+            if neighbor_id == me or neighbor_id not in metric:
                 continue
             edge = metric[neighbor_id]
             for uid, entry in table.items():

@@ -6,6 +6,7 @@ from functools import reduce
 from typing import Any, Callable
 
 from ..calculus import aggregate, share
+from ..errors import DomainError
 from ..fields import NeighborhoodField
 from .device import local_id
 
@@ -19,14 +20,7 @@ def gossip(value: Any, combine: Callable[[Any, Any], Any]) -> Any:
     rounds.  Plain gossip never forgets: a value that leaves the network
     stays in the fold forever (see ``stabilizing_gossip``).
     """
-
-    def update(states: NeighborhoodField) -> Any:
-        result = value
-        for _, neighbor_state in states.items():
-            result = combine(result, neighbor_state)
-        return result
-
-    return share(value, update)
+    return share(value, lambda states: states.fold(value, combine))
 
 
 def gossip_max(value: Any) -> Any:
@@ -49,8 +43,6 @@ def stabilizing_gossip(value: Any, combine: Callable[[Any, Any], Any], diameter:
     diameter exchange rounds.
     """
     if not isinstance(diameter, int) or diameter < 1:
-        from ..errors import DomainError
-
         raise DomainError(f"diameter must be a positive integer, got {diameter!r}")
     me = local_id()
 

@@ -9,6 +9,7 @@ or topology change.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Any, Callable
 
 from ..calculus import aggregate, share
@@ -36,31 +37,9 @@ def distance_to(source: bool, metric: NeighborhoodField) -> float:
     def relax(estimates: NeighborhoodField) -> float:
         if source:
             return 0.0
-        candidates = estimates.exclude_self().zip_with(
-            metric.exclude_self(), lambda d, w: d + w
-        )
-        return candidates.min_value() if len(candidates) else INF
+        return min(estimates.exclude_self().zip_with(metric, add).values(), default=INF)
 
     return share(INF, relax)
-
-
-def _best_link(links: NeighborhoodField) -> tuple[int, Any] | None:
-    """Neighbor minimizing (potential, id) among finite entries, with payload."""
-    best_key = None
-    best_payload = None
-    best_id = None
-    for neighbor_id, entry in links.exclude_self().items():
-        potential = entry[0]
-        if potential is None or potential == INF:
-            continue
-        key = (potential, neighbor_id)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_id = neighbor_id
-            best_payload = entry[1]
-    if best_id is None:
-        return None
-    return best_id, best_payload
 
 
 @aggregate
@@ -76,11 +55,16 @@ def broadcast(source: bool, value: Any, metric: NeighborhoodField) -> Any:
 
     def update(links: NeighborhoodField) -> tuple:
         if source:
-            result = value
-        else:
-            picked = _best_link(links)
-            result = picked[1] if picked is not None else value
-        return (potential, result)
+            return (potential, value)
+        parent = min(
+            (
+                (entry[0], neighbor_id, entry[1])
+                for neighbor_id, entry in links.items()
+                if neighbor_id != links.owner and entry[0] != INF
+            ),
+            default=None,
+        )
+        return (potential, parent[2] if parent is not None else value)
 
     return share((INF, None), update)[1]
 
@@ -107,9 +91,9 @@ def cast_from(
             return (potential, initial)
         best_key = None
         best = None
-        for neighbor_id, entry in links.exclude_self().items():
+        for neighbor_id, entry in links.items():
             upstream = entry[0]
-            if upstream is None or upstream == INF or neighbor_id not in metric:
+            if neighbor_id == links.owner or upstream == INF or neighbor_id not in metric:
                 continue
             weight = metric[neighbor_id]
             key = (upstream + weight, neighbor_id)

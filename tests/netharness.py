@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from fieldcast import aggregate
 from fieldcast.simulator import Simulator, StabilityTracker, aggregate_program_runner
+from fieldcast.stdlib import local_id
 
 
 class SweepNetwork:
@@ -86,6 +88,20 @@ class SweepNetwork:
                 self.simulator.monitors.remove(tracker)
                 return results
         raise AssertionError(f"no fixpoint within {max_sweeps} sweeps")
+
+
+def scripted(block: Callable, inputs: dict[int, tuple]) -> Callable:
+    """A program in which node ``i`` runs ``block(*inputs[i])``.
+
+    Edit ``inputs`` between sweeps to script each node's arguments round by
+    round; the call site, and so every alignment path, stays the same.
+    """
+
+    @aggregate
+    def main():
+        return block(*inputs[local_id()])
+
+    return main
 
 
 def line_topology(n: int) -> dict[int, set[int]]:

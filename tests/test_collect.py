@@ -14,7 +14,7 @@ from fieldcast.stdlib import (
     sense,
     sum_values,
 )
-from netharness import SweepNetwork, grid_topology, line_topology
+from netharness import SweepNetwork, grid_topology, line_topology, scripted
 
 
 def network_with_potential(topology, positions, sources):
@@ -64,6 +64,22 @@ def test_plateau_is_local_minimum():
     assert results == {0: 0, 1: 1, 2: 2}
 
 
+def test_a_former_source_takes_its_neighbor_not_its_own_old_potential():
+    """Node 0's own previous entry (potential 0) is below node 1's 1: it must not count."""
+    network = SweepNetwork(line_topology(2))
+    potentials = {0: (0.0,), 1: (1.0,)}
+    program = scripted(find_parent, potentials)
+    network.sweep(program)
+    potentials[0] = (2.0,)
+    assert network.sweep(program)[0] == 1
+
+
+def test_equal_neighbor_potentials_pick_the_smaller_id():
+    network = SweepNetwork(line_topology(3))
+    program = scripted(find_parent, {0: (0.0,), 1: (1.0,), 2: (0.0,)})
+    assert network.run(program, 2)[1] == 0
+
+
 # -- collect_with ----------------------------------------------------------------
 
 
@@ -80,6 +96,20 @@ def test_leaf_keeps_local_value():
     network = line_network(3)
     results = network.run_until_stable(collection_program())
     assert results[2] == 1  # farthest node aggregates only itself
+
+
+def test_a_source_does_not_collect_its_own_previous_result():
+    """A source is its own parent, so its own entry names it: that entry must not count."""
+    network = SweepNetwork({0: set()})
+    program = scripted(count_nodes, {0: (0.0,)})
+    assert [network.sweep(program)[0] for _ in range(4)] == [1, 1, 1, 1]
+
+
+def test_a_node_with_two_equal_parents_reports_to_the_smaller_id():
+    """Diamond 0-{1,2}-3: node 3 ties between parents 1 and 2 and joins 1's count."""
+    network = SweepNetwork({0: {1, 2}, 1: {0, 3}, 2: {0, 3}, 3: {1, 2}})
+    program = scripted(count_nodes, {0: (0.0,), 1: (1.0,), 2: (1.0,), 3: (2.0,)})
+    assert network.run_until_stable(program) == {0: 4, 1: 2, 2: 1, 3: 1}
 
 
 def test_path_of_three_sums_to_source():

@@ -8,8 +8,8 @@ import pytest
 from fieldcast import aggregate
 from fieldcast.errors import DomainError
 from fieldcast.scenarios import oracles
-from fieldcast.stdlib import elect_leaders, leader_election, neighbors_distances
-from netharness import SweepNetwork
+from fieldcast.stdlib import elect_leaders, hop_distances, leader_election, neighbors_distances
+from netharness import SweepNetwork, clique_topology, scripted
 
 
 def election_program(radius):
@@ -69,6 +69,38 @@ def test_same_seed_same_outcome():
     keys_a = {n: r.key for n, r in run(7).items()}
     keys_b = {n: r.key for n, r in run(8).items()}
     assert keys_a != keys_b
+
+
+def test_a_node_does_not_refresh_candidacies_from_its_own_table():
+    """Stretching the only edge from 1 to 3 must move the loser's winner distance to 3.
+
+    The node's own previous table still holds the winner at distance 1 and
+    its own edge is 0: counting the owner would pin the distance at 1.
+    """
+    network = SweepNetwork({0: {1}, 1: {0}})
+    scales = {0: (1.0,), 1: (1.0,)}
+    program = scripted(lambda scale: leader_election(10.0, hop_distances() * scale), scales)
+    network.run_until_stable(program)
+    scales.update({0: (3.0,), 1: (3.0,)})
+    results = network.run_until_stable(program)
+    loser = next(n for n, r in results.items() if not r.leader)
+    assert results[loser].distance == 3.0
+
+
+class FixedKey:
+    """A random stream whose every draw is the same key."""
+
+    def random(self):
+        return 0.5
+
+
+def test_equal_keys_elect_the_smallest_id():
+    network = SweepNetwork(clique_topology(3))
+    for node in network.simulator.environment.node_list():
+        node.rng = FixedKey()
+    results = network.run_until_stable(election_program(10.0))
+    assert [n for n, r in results.items() if r.leader] == [0]
+    assert {r.winner for r in results.values()} == {0}
 
 
 def test_radius_domain_error():

@@ -221,6 +221,23 @@ def test_config_validation():
         channel.run(config_for("channel", n=-3))
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"leader_radius": 0.0}, "leader_radius must be positive"),
+        ({"leader_radius": -1.0}, "leader_radius must be positive"),
+        ({"threshold": 0.0}, "threshold must be positive"),
+        ({"model_dim": 0}, "model dimension must be positive"),
+        ({"learning_rate": 1.0}, r"learning rate must lie in \(0, 1\)"),
+        ({"learning_rate": 0.0}, r"learning rate must lie in \(0, 1\)"),
+        ({"clusters": 0}, "cluster count must be positive"),
+    ],
+)
+def test_config_validation_rejects_scenario_settings_out_of_domain(setting, message):
+    with pytest.raises(DomainError, match=message):
+        config_for("sofl", **setting).validate()
+
+
 FLOAT_SETTINGS = [
     "spacing", "noise", "radius", "dt", "duration", "frame_interval", "width",
     "leader_radius", "speed", "noise_amplitude", "learning_rate", "threshold",
@@ -257,9 +274,13 @@ def test_node_count_deploys_a_disc_in_lattice_scenarios(name):
 
 def test_cli_list_names_all_scenarios(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in SCENARIOS:
-        assert name in out
+    assert capsys.readouterr().out == (
+        "channel      devices within a width of the shortest source-target path\n"
+        "scr          coordination regions: leader election, per-region node counts\n"
+        "gossip-max   network-wide maximum via epidemic gossip\n"
+        "flocking     heading alignment with constant-speed motion\n"
+        "sofl         self-organizing federated learning on an analytic toy model\n"
+    )
 
 
 def test_cli_version(capsys):
@@ -284,6 +305,16 @@ def test_cli_non_finite_number_is_usage_error(flag, capsys):
     # a finite duration, so a missed check still ends quickly and fails here
     assert main(["run", "gossip-max", flag, "nan", "--duration", "2"]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "scr", "--leader-radius", "-1"], ["run", "sofl", "--threshold", "0"]],
+)
+def test_cli_bad_election_radius_is_a_usage_error_not_a_crash(argv, caplog, capsys):
+    assert main(argv + ["--rows", "3", "--cols", "3", "--duration", "1"]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not [record for record in caplog.records if "crashed" in record.getMessage()]
 
 
 def test_cli_missing_command_is_usage_error():

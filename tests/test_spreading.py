@@ -17,7 +17,7 @@ from fieldcast.stdlib import (
     neighbors_distances,
     sense,
 )
-from netharness import SweepNetwork, grid_topology, line_topology
+from netharness import SweepNetwork, grid_topology, line_topology, scripted
 
 
 def gradient_program(source_sensor="source"):
@@ -166,6 +166,38 @@ def test_two_sources_make_voronoi_regions():
         while walker not in (0, 35):
             walker = oracles.descend_parent(adjacency, potentials, walker)
         assert value == f"from-{walker}"
+
+
+# -- owner and tie rules shared by broadcast and cast_from ---------------------
+
+SPREADERS = {
+    "broadcast": lambda source, value: broadcast(source, value, hop_distances()),
+    "cast_from": lambda source, value: cast_from(source, value, lambda v, _: v, hop_distances()),
+}
+
+
+@pytest.mark.parametrize("spread", SPREADERS.values(), ids=SPREADERS)
+def test_a_former_source_adopts_its_neighbor_not_its_own_old_value(spread):
+    """Node 0 sources the sweep number for sweeps 1-3, and node 1 relays it a sweep late.
+
+    In sweep 4 node 0's own entry (potential 0, value 3) is below node 1's
+    (potential 1, value 2); the owner's entry must not count.
+    """
+    network = SweepNetwork(line_topology(2))
+    inputs = {1: (False, None)}
+    program = scripted(spread, inputs)
+    for sweep in (1, 2, 3):
+        inputs[0] = (True, sweep)
+        network.sweep(program)
+    inputs[0] = (False, None)
+    assert network.sweep(program)[0] == 2
+
+
+@pytest.mark.parametrize("spread", SPREADERS.values(), ids=SPREADERS)
+def test_a_node_between_two_equal_sources_takes_the_smaller_ids_value(spread):
+    network = SweepNetwork(line_topology(3))
+    program = scripted(spread, {0: (True, "left"), 1: (False, None), 2: (True, "right")})
+    assert network.run(program, 3)[1] == "left"
 
 
 # -- cast_from ----------------------------------------------------------------
