@@ -78,13 +78,14 @@ class ScenarioConfig:
         for name in ("spacing", "dt", "duration", "frame_interval", "threshold"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        for name in ("n", "noise", "radius"):
+        for name in ("n", "noise", "radius", "speed", "noise_amplitude"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be non-negative")
         if self.duration < self.dt:
             raise DomainError("duration must be at least one round period")
-        if self.leader_radius is not None and self.leader_radius <= 0:
-            raise DomainError("leader_radius must be positive")
+        for name in ("width", "leader_radius"):  # None picks the scenario's default
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be positive")
         if self.model_dim <= 0:
             raise DomainError("model dimension must be positive")
         if not 0.0 < self.learning_rate < 1.0:

@@ -37,22 +37,29 @@ def find_parent(potential: float) -> int:
 def collect_with(potential: float, local: Any, accumulate: Callable[[Any, Any], Any]) -> Any:
     """Fold values down the potential: local value combined with the children's.
 
-    Every node shares its (parent, result) pair; a node's result is its local
-    value accumulated with the results of all neighbors that currently claim
-    it as parent, in ascending id order.  On a static tree the source ends up
-    aggregating its whole region.
+    One share carries (potential, parent, result).  A node's parent follows
+    ``find_parent``'s rule, read from the potentials its neighbors share
+    here; its result is its local value accumulated with the results of all
+    neighbors that currently claim it as parent, in ascending id order.  On a
+    static tree the source ends up aggregating its whole region.
     """
-    parent = find_parent(potential)
     me = local_id()
 
     def update(links: NeighborhoodField) -> tuple:
+        best = None
         result = local
         for neighbor_id, entry in links.items():
-            if neighbor_id != me and entry[0] == me:
-                result = accumulate(result, entry[1])
-        return (parent, result)
+            if neighbor_id == me:
+                continue
+            if entry[0] < potential:
+                key = (entry[0], neighbor_id)
+                if best is None or key < best:
+                    best = key
+            if entry[1] == me:
+                result = accumulate(result, entry[2])
+        return (potential, best[1] if best is not None else me, result)
 
-    return share((None, None), update)[1]
+    return share((INF, None, None), update)[2]
 
 
 @aggregate
@@ -75,5 +82,5 @@ def collect_or(potential: float, flag: bool) -> bool:
     down the potential: with the potential anchored at a target and the flag
     on a source, that is the shortest path between the two.
     """
-    # collect_with's body in this scope, so the paths stay find_parent#0/share#0
+    # collect_with's body in this scope, so its one path stays share#0 under collect_or
     return collect_with.__wrapped__(potential, bool(flag), lambda a, b: a or b)

@@ -42,20 +42,31 @@ def distance_to(source: bool, metric: NeighborhoodField) -> float:
     return share(INF, relax)
 
 
+def _relax(links: NeighborhoodField, metric: NeighborhoodField) -> float:
+    """``distance_to``'s relax over the potentials the neighbors carry in ``entry[0]``."""
+    owner = links.owner
+    return min(
+        (entry[0] + metric[j] for j, entry in links.items() if j != owner and j in metric),
+        default=INF,
+    )
+
+
 @aggregate
 def broadcast(source: bool, value: Any, metric: NeighborhoodField) -> Any:
     """Propagate each source's value outward along descending potential.
 
+    One share carries (potential, value): the potential is ``distance_to``'s,
+    relaxed from the potentials the neighbors share alongside their values.
     Sources return ``value`` immediately; everyone else adopts the value held
     by its parent, the neighbor with the smallest potential (ties to the
     smallest id).  A node with no usable neighbor (disconnected from every
     source) falls back to its local ``value``.
     """
-    potential = distance_to(source, metric)
+    check_metric(metric)
 
     def update(links: NeighborhoodField) -> tuple:
         if source:
-            return (potential, value)
+            return (0.0, value)
         parent = min(
             (
                 (entry[0], neighbor_id, entry[1])
@@ -64,7 +75,7 @@ def broadcast(source: bool, value: Any, metric: NeighborhoodField) -> Any:
             ),
             default=None,
         )
-        return (potential, parent[2] if parent is not None else value)
+        return (_relax(links, metric), parent[2] if parent is not None else value)
 
     return share((INF, None), update)[1]
 
@@ -78,17 +89,18 @@ def cast_from(
 ) -> Any:
     """Propagate from sources while accumulating over each hop's edge length.
 
-    The carried value follows the cheapest route: each node extends the
-    neighbor minimizing (upstream potential + edge length), applying
-    ``accumulate`` to that neighbor's value and the edge length.  With
-    addition from 0 this reproduces the potential itself; with a constant
-    accumulator it reproduces broadcast.
+    One share carries (potential, value), the potential relaxed as in
+    ``broadcast``.  The carried value follows the cheapest route: each node
+    extends the neighbor minimizing (upstream potential + edge length),
+    applying ``accumulate`` to that neighbor's value and the edge length.
+    With addition from 0 this reproduces the potential itself; with a
+    constant accumulator it reproduces broadcast.
     """
-    potential = distance_to(source, metric)
+    check_metric(metric)
 
     def update(links: NeighborhoodField) -> tuple:
         if source:
-            return (potential, initial)
+            return (0.0, initial)
         best_key = None
         best = None
         for neighbor_id, entry in links.items():
@@ -100,6 +112,6 @@ def cast_from(
             if best_key is None or key < best_key:
                 best_key = key
                 best = accumulate(entry[1], weight)
-        return (potential, best if best_key is not None else initial)
+        return (_relax(links, metric), best if best_key is not None else initial)
 
     return share((INF, None), update)[1]

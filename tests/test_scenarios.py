@@ -7,7 +7,7 @@ import math
 import pytest
 
 from fieldcast.cli import build_parser, main, parse_config_file, resolve_config
-from fieldcast.errors import DomainError
+from fieldcast.errors import DomainError, format_path
 from fieldcast.scenarios import SCENARIOS, ScenarioConfig
 from fieldcast.scenarios import channel, flocking, gossipmax, scr, sofl
 from fieldcast.scenarios.gossipmax import uniformity_sweep
@@ -105,6 +105,20 @@ def test_scr_single_node_region_of_one():
     assert result.ok
     only = result.results[0]
     assert only["leader"] and only["region"] == 1
+
+
+def test_scr_exports_one_entry_per_building_block():
+    # broadcast and collect_with carry their potential in their own share:
+    # no distance_to or find_parent runs nested under them
+    result = scr.run(config_for("scr", rows=4, cols=4, duration=1.0))
+    for node in result.simulator.environment.node_list():
+        assert [format_path(path) for path in node.last_export.paths()] == [
+            "fn:scr_main#0/fn:neighbors_distances#0/op:neighbors#0",
+            "fn:scr_main#0/fn:leader_election#0/op:share#0",
+            "fn:scr_main#0/fn:distance_to#0/op:share#0",
+            "fn:scr_main#0/fn:count_nodes#0/fn:collect_with#0/op:share#0",
+            "fn:scr_main#0/fn:broadcast#0/op:share#0",
+        ], node.id
 
 
 # -- gossip ----------------------------------------------------------------
@@ -231,6 +245,10 @@ def test_config_validation():
         ({"learning_rate": 1.0}, r"learning rate must lie in \(0, 1\)"),
         ({"learning_rate": 0.0}, r"learning rate must lie in \(0, 1\)"),
         ({"clusters": 0}, "cluster count must be positive"),
+        ({"width": 0.0}, "width must be positive"),
+        ({"width": -1.0}, "width must be positive"),
+        ({"speed": -1.0}, "speed must be non-negative"),
+        ({"noise_amplitude": -0.1}, "noise_amplitude must be non-negative"),
     ],
 )
 def test_config_validation_rejects_scenario_settings_out_of_domain(setting, message):
@@ -315,6 +333,20 @@ def test_cli_bad_election_radius_is_a_usage_error_not_a_crash(argv, caplog, caps
     assert main(argv + ["--rows", "3", "--cols", "3", "--duration", "1"]) == 2
     assert "must be positive" in capsys.readouterr().err
     assert not [record for record in caplog.records if "crashed" in record.getMessage()]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "channel", "--width", "-1", "--check"],
+        ["run", "flocking", "--speed", "-1", "--check"],
+        ["run", "flocking", "--noise-amplitude", "-1", "--check"],
+    ],
+)
+def test_cli_setting_out_of_domain_is_a_usage_error_not_a_passing_run(argv, capsys):
+    # a negative channel width lit no device and still passed its oracle
+    assert main(argv + ["--rows", "6", "--cols", "6", "--duration", "4"]) == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_cli_missing_command_is_usage_error():
@@ -433,4 +465,4 @@ def test_channel_wire_bytes_match_the_recorded_figure():
     # the digest test's channel run with every export encoded; this pins every
     # byte count the wire sends, where criterion 8 bounds a larger run's total
     result = channel.run(config_for("channel", seed=3, duration=2.0, wire_stats=True))
-    assert result.simulator.wire_bytes == 1_582_726
+    assert result.simulator.wire_bytes == 1_390_726
