@@ -19,7 +19,7 @@ from .calculus import (
     remember,
     share,
 )
-from .engine import Engine, Export, NodeContext, ScopeToken
+from .engine import Engine, Export, NodeContext, ScopeToken, TemplateTable
 from .errors import (
     AggregateError,
     AlignmentError,
@@ -27,6 +27,7 @@ from .errors import (
     EmptyFieldError,
     EncodingError,
     MissingSensorError,
+    UnknownTemplateError,
     UsageError,
 )
 from .fields import NeighborhoodField, foldhood
@@ -46,6 +47,8 @@ __all__ = [
     "NodeContext",
     "ScopeToken",
     "StateHandle",
+    "TemplateTable",
+    "UnknownTemplateError",
     "UsageError",
     "activate",
     "aggregate",

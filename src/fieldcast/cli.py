@@ -124,7 +124,9 @@ def main(argv=None) -> int:
         f"{result.simulator.rounds_executed} rounds, seed {config.seed}"
     )
     if config.wire_stats:
-        summary += f", {result.simulator.wire_bytes} wire bytes"
+        sim = result.simulator
+        summary += f", {sim.wire_bytes} wire bytes in {sim.wire_exports} exports"
+        summary += f" ({sim.inline_exports} inline)"
     print(summary)
     if config.out:
         print(f"trace written to {config.out}")

@@ -15,13 +15,14 @@ lookup, leaving it follows the parent pointer, and a device's state slots (a
 ``{PathNode: value}`` dict) and its export entries are keyed by the node,
 which hashes by identity.  Devices at the same program point therefore hold
 the very same node.  Nodes live only in memory: `Engine.path` and
-`Export.paths()` give `ScopeToken` tuples, the wire format still spells out
-every token (see `Export`), and a decoded export interns its paths so they
-align with the local ones.  Each node caches its path's wire bytes per
-predecessor, so tokens are encoded once rather than every round, in the same
-format.  `PathNode.child` makes no node deeper than `MAX_DEPTH` tokens, so no
-longer path exists in a round, on the wire or in the trie.  `intern_path` is
-the one conversion from a token sequence to its node.
+`Export.paths()` give `ScopeToken` tuples, and on the wire an export is coded
+against its *template*, the ordered list of its paths (see `Export`).  The
+sender caches each template's bytes and key, so tokens are encoded once per
+template rather than every round; a receiver interns a template's paths only
+when its bounded `TemplateTable` admits it.  `PathNode.child` makes no node
+deeper than `MAX_DEPTH` tokens, so no longer path exists in a round, on the
+wire or in the trie.  `intern_path` is the one conversion from a token
+sequence to its node.
 
 Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
 ``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state to
@@ -33,9 +34,10 @@ and export in that case.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Mapping, NamedTuple
 
-from .errors import AlignmentError, EncodingError, UsageError, format_path
+from .errors import AlignmentError, EncodingError, UnknownTemplateError, UsageError, format_path
 from .fields import NeighborhoodField, from_ordered
 from .values import decode_value, encode_value, read_uvarint, write_uvarint
 
@@ -49,6 +51,8 @@ _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 # The deepest alignment path that may exist: `PathNode.child` makes no deeper node.
 MAX_DEPTH = 128
+# The most templates one `TemplateTable` holds; a full table refuses new ones.
+TEMPLATE_CAPACITY = 256
 
 _MISSING = object()
 _NO_ROUND = "no round in progress (call setup first)"
@@ -78,18 +82,17 @@ class PathNode:
     and hash by identity.  ``tokens`` is the path as a tuple of `ScopeToken`s
     and ``children`` maps ``(kind, name, occurrence)`` to the node one token
     deeper.  The trie only grows: a node is made the first time any device
-    (or a decoded export) reaches its path and is reused from then on.
-    ``wire`` caches the path's wire bytes per predecessor node (`_wire_code`).
+    (or a template a `TemplateTable` admits) reaches its path and is reused
+    from then on.
     """
 
-    __slots__ = ("parent", "depth", "tokens", "children", "wire")
+    __slots__ = ("parent", "depth", "tokens", "children")
 
     def __init__(self, parent: PathNode | None, token: ScopeToken | None):
         self.parent = parent
         self.depth = 0 if parent is None else parent.depth + 1
         self.tokens: AlignmentPath = () if parent is None else parent.tokens + (token,)
         self.children: dict[tuple, PathNode] = {}
-        self.wire: dict[PathNode, bytes] = {}
 
     def child(self, kind: str, name: str | None, occurrence: int) -> PathNode:
         """The node one token deeper, made on first use unless it would exceed `MAX_DEPTH`."""
@@ -119,23 +122,72 @@ def intern_path(path) -> PathNode:
     return node
 
 
-def _wire_code(node: PathNode, previous: PathNode) -> bytes:
-    """Cache the bytes coding ``node``'s path after ``previous``'s; a failure caches nothing."""
-    path = node.tokens
-    shared = previous  # walk up to the longest prefix both paths share
-    while shared.depth > node.depth or path[: shared.depth] != shared.tokens:
-        shared = shared.parent
-    out = bytearray()
-    write_uvarint(out, shared.depth)
-    write_uvarint(out, node.depth - shared.depth)
-    for kind, name, occurrence in path[shared.depth :]:
-        code = _KIND_CODES.get(kind)
-        if code is None or not (name is None or isinstance(name, str)):
-            raise EncodingError(f"token {kind}:{name!r} has no wire form (path: {format_path(path)})")
-        write_uvarint(out, occurrence << 2 | code)
-        encode_value(name, out)
-    wire = node.wire[previous] = bytes(out)  # a racing thread stores equal bytes
-    return wire
+# shape (the tuple of an export's path nodes) -> the bytes before the values
+# in (reference form, inline form): the header, then the key or the block
+_TEMPLATES: dict[tuple, tuple[bytes, bytes]] = {}
+
+
+def _template(shape: tuple) -> tuple[bytes, bytes]:
+    """Cache ``shape``'s two prefixes; a path that fails to encode caches nothing."""
+    block = bytearray()
+    previous = ROOT
+    for node in shape:
+        path = node.tokens
+        shared = previous  # walk up to the longest prefix both paths share
+        while shared.depth > node.depth or path[: shared.depth] != shared.tokens:
+            shared = shared.parent
+        write_uvarint(block, shared.depth)
+        write_uvarint(block, node.depth - shared.depth)
+        for kind, name, occurrence in path[shared.depth :]:
+            code = _KIND_CODES.get(kind)
+            if code is None or not (name is None or isinstance(name, str)):
+                raise EncodingError(
+                    f"token {kind}:{name!r} has no wire form (path: {format_path(path)})"
+                )
+            write_uvarint(block, occurrence << 2 | code)
+            encode_value(name, block)
+        previous = node
+    reference, inline = bytearray(), bytearray()
+    write_uvarint(reference, len(shape) << 1)
+    write_uvarint(inline, len(shape) << 1 | 1)
+    reference += hashlib.sha256(block).digest()[:8]
+    # a racing thread stores equal bytes
+    template = _TEMPLATES[shape] = (bytes(reference), bytes(inline + block))
+    return template
+
+
+def _read_template(raw: bytes, pos: int, count: int) -> tuple[list[AlignmentPath], int]:
+    """Parse a template block of ``count`` paths at ``pos`` into token tuples, interning nothing."""
+    paths: list[AlignmentPath] = []
+    previous: AlignmentPath = ()
+    for _ in range(count):
+        shared, pos = read_uvarint(raw, pos)
+        if shared > len(previous):
+            raise EncodingError(f"path shares {shared} tokens with a path of {len(previous)}")
+        fresh, pos = read_uvarint(raw, pos)
+        if shared + fresh > MAX_DEPTH:
+            raise EncodingError(f"path of {shared + fresh} tokens, deeper than {MAX_DEPTH}")
+        path = list(previous[:shared])
+        for _ in range(fresh):
+            packed, pos = read_uvarint(raw, pos)
+            name, pos = decode_value(raw, pos)
+            if name is not None and type(name) is not str:
+                raise EncodingError(f"token name of type {type(name).__name__}")
+            path.append(ScopeToken(_KINDS[packed & 3], name, packed >> 2))
+        previous = tuple(path)
+        paths.append(previous)
+    if len(set(paths)) < count:
+        raise EncodingError("template repeats a path")
+    return paths, pos
+
+
+class TemplateTable(dict):
+    """The templates one receiver knows: 8-byte key -> shape (a tuple of `PathNode`s).
+
+    `Export.from_bytes` admits a template, and interns its paths, only while
+    the table holds fewer than `TEMPLATE_CAPACITY`; a full table refuses new
+    templates, so wire input cannot grow the path trie without bound.
+    """
 
 
 class NodeContext:
@@ -163,12 +215,14 @@ class Export:
     """A node's per-round outbound message: alignment path -> value.
 
     ``entries`` maps `PathNode` to value and is stored as given, not copied.
-    Every export carries full values.  On the wire, each entry's path is coded
-    against the previous entry's: how many leading tokens both share, how many
-    new tokens follow, and each new token as the varint ``occurrence << 2 |
-    kind code`` followed by its name.  The entry's value comes next.  These
-    path bytes are cached per predecessor on the node (``PathNode.wire``), and
-    decoding rejects a path deeper than `MAX_DEPTH` before interning a token.
+    Every export carries full values.  On the wire an export is coded against
+    its template, the tuple of its paths: ``uvarint(count << 1 | inline)``,
+    then the template block (inline form) or its 8-byte key (reference form),
+    then the values in entry order.  The block codes each path against the
+    previous one: how many leading tokens both share, how many new tokens
+    follow, and each new token as the varint ``occurrence << 2 | kind code``
+    followed by its name.  The key is the first 8 bytes of the block's
+    SHA-256.  A sender caches each template's block and key.
     """
 
     __slots__ = ("entries",)
@@ -190,47 +244,59 @@ class Export:
     def __repr__(self) -> str:
         return f"Export({len(self.entries)} entries)"
 
-    def to_bytes(self) -> bytes:
-        """Encode the entries; a path or value the wire cannot carry raises `EncodingError`."""
-        out = bytearray()
-        write_uvarint(out, len(self.entries))
-        previous = ROOT
-        for node, value in self.entries.items():
-            out += node.wire.get(previous) or _wire_code(node, previous)
+    def to_bytes(self, inline: bool = False) -> bytes:
+        """Encode the entries in reference form, or with the template ``inline``.
+
+        A path or value the wire cannot carry raises `EncodingError`.
+        """
+        entries = self.entries
+        shape = tuple(entries)
+        out = bytearray((_TEMPLATES.get(shape) or _template(shape))[inline])
+        for node, value in entries.items():
             try:
                 encode_value(value, out)
             except EncodingError as error:
                 raise EncodingError(f"{error} (path: {format_path(node.tokens)})") from None
-            previous = node
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "Export":
-        """Decode ``to_bytes`` output; malformed input raises `EncodingError`."""
-        entries: dict = {}
-        previous = ROOT
-        count, pos = read_uvarint(raw, 0)
+    def from_bytes(cls, raw: bytes, table: TemplateTable) -> "Export":
+        """Decode ``to_bytes`` output against the receiver's template ``table``.
+
+        Malformed input, including a path deeper than `MAX_DEPTH`, raises
+        `EncodingError` and changes neither the table nor the trie: a template
+        is admitted only once the whole message has parsed.  A reference the
+        table does not hold, or a template a full table refuses, raises
+        `UnknownTemplateError`.
+        """
+        header, pos = read_uvarint(raw, 0)
+        count = header >> 1
+        paths = None
+        if header & 1:
+            start = pos
+            paths, pos = _read_template(raw, pos, count)
+            key = hashlib.sha256(raw[start:pos]).digest()[:8]
+        else:
+            key = bytes(raw[pos : pos + 8])
+            if len(key) < 8:
+                raise EncodingError("truncated template key")
+            pos += 8
+        values = []
         for _ in range(count):
-            shared, pos = read_uvarint(raw, pos)
-            if shared > previous.depth:
-                raise EncodingError(f"path shares {shared} tokens with a path of {previous.depth}")
-            fresh, pos = read_uvarint(raw, pos)
-            if shared + fresh > MAX_DEPTH:
-                raise EncodingError(f"path of {shared + fresh} tokens, deeper than {MAX_DEPTH}")
-            node = previous
-            while node.depth > shared:
-                node = node.parent
-            for _ in range(fresh):
-                packed, pos = read_uvarint(raw, pos)
-                name, pos = decode_value(raw, pos)
-                if name is not None and type(name) is not str:
-                    raise EncodingError(f"token name of type {type(name).__name__}")
-                node = node.child(_KINDS[packed & 3], name, packed >> 2)
-            previous = node
-            entries[node], pos = decode_value(raw, pos)
+            value, pos = decode_value(raw, pos)
+            values.append(value)
         if pos != len(raw):
             raise EncodingError(f"{len(raw) - pos} trailing bytes after the last entry")
-        return cls(entries)
+        shape = table.get(key)
+        if shape is None:
+            if paths is None:
+                raise UnknownTemplateError(f"unknown template {key.hex()}")
+            if len(table) >= TEMPLATE_CAPACITY:
+                raise UnknownTemplateError(f"template table full ({TEMPLATE_CAPACITY} templates)")
+            shape = table[key] = tuple(intern_path(path) for path in paths)
+        elif len(shape) != count:
+            raise EncodingError(f"template {key.hex()} has {len(shape)} paths, not {count}")
+        return cls(dict(zip(shape, values)))
 
 
 class Engine:

@@ -47,6 +47,10 @@ class EncodingError(AggregateError, ValueError):
     """A value has no wire form, or bytes are not a valid wire encoding."""
 
 
+class UnknownTemplateError(EncodingError):
+    """The receiver's template table lacks an export's template, or is full and refused it."""
+
+
 def format_path(path) -> str:
     """Render an alignment path for diagnostics, e.g. ``fn:main#0/op:neighbors#1``."""
     if not path:

@@ -41,8 +41,8 @@ class Simulator:
         self.actuators: dict[str, Callable] = {}
         self.deploy_rng = random.Random(derive_seed(seed, "deploy"))
         self.rounds_executed = 0
-        self.wire_bytes = 0
-        self.count_wire_bytes = False
+        self.count_wire_bytes = False  # then count bytes and exports sent, and inline ones
+        self.wire_bytes = self.wire_exports = self.inline_exports = 0
         # (time, sequence, fn, args): the unique sequence breaks time ties
         # before fn would ever be compared.
         self._queue: list[tuple] = []
@@ -100,9 +100,11 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
     Gathers inbound messages (each current neighbor's latest export published
     strictly before now, plus the node's own previous export), runs the
     program through a fresh engine, publishes the new state and export, and
-    applies staged actuations.  An alignment error is logged and skips this
-    round's updates; the node keeps its previous state and export and still
-    reschedules.  Any other exception from the round (the program or the wire
+    applies staged actuations.  Under ``count_wire_bytes`` it also encodes the
+    export under the node's template policy (`Node.encode_export`) and counts
+    the bytes, the export and whether it went inline.  An alignment error is
+    logged and skips this round's updates; the node keeps its previous state
+    and export and still reschedules.  Any other exception from the round (the program or the wire
     count) is logged with the node and time, then propagates and ends the run.
     """
     env = simulator.environment
@@ -123,7 +125,7 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
                 new_state, export = engine.cooldown()
             finally:
                 engine_var.reset(token)
-            size = len(export.to_bytes()) if simulator.count_wire_bytes else 0
+            wire = node.encode_export(export) if simulator.count_wire_bytes else None
         except AlignmentError as error:
             log.warning("node %s round at t=%.6f aborted: %s", node.id, now, error)
             engine.abort()
@@ -134,7 +136,10 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
             node.state = new_state
             node.result = result
             node.publish_export(export, now)
-            simulator.wire_bytes += size
+            if wire is not None:
+                simulator.wire_bytes += len(wire[0])
+                simulator.wire_exports += 1
+                simulator.inline_exports += wire[1]
             for name, value in engine.staged_actuations.items():
                 actuator = simulator.actuators.get(name)
                 if actuator is not None:

@@ -6,6 +6,9 @@ from typing import Any
 
 from ..engine import Export, PathNode
 
+# A node sends its export template inline at least once every this many exports.
+TEMPLATE_REFRESH = 20
+
 
 class Node:
     """One device in the environment.
@@ -18,6 +21,10 @@ class Node:
 
     Setting ``suppressed`` makes the runner skip this node's rounds without
     unscheduling them: the fault-injection hook for unreliable devices.
+
+    `encode_export` is the sender's template policy: the template goes inline
+    in the first export, when the export's paths differ from the previous
+    one's, and in every `TEMPLATE_REFRESH`-th export; otherwise its key does.
     """
 
     __slots__ = (
@@ -32,6 +39,8 @@ class Node:
         "_export_time",
         "_prev_export",
         "_prev_export_time",
+        "_sent_shape",
+        "_references",
     )
 
     def __init__(self, node_id: int, position, data: dict | None = None):
@@ -46,6 +55,8 @@ class Node:
         self._export_time = 0.0
         self._prev_export: Export | None = None
         self._prev_export_time = 0.0
+        self._sent_shape: tuple | None = None
+        self._references = 0  # exports sent by reference since the last inline one
 
     @property
     def last_export(self) -> Export | None:
@@ -64,6 +75,16 @@ class Node:
         if self._prev_export is not None and self._prev_export_time < time:
             return self._prev_export
         return None
+
+    def encode_export(self, export: Export) -> tuple[bytes, bool]:
+        """The wire bytes of ``export`` under the template policy, and whether they are inline."""
+        shape = tuple(export.entries)
+        if shape == self._sent_shape and self._references < TEMPLATE_REFRESH - 1:
+            self._references += 1
+            return export.to_bytes(), False
+        self._sent_shape = shape
+        self._references = 0
+        return export.to_bytes(inline=True), True
 
     def __repr__(self) -> str:
         return f"Node(id={self.id}, position={self.position})"

@@ -6,8 +6,10 @@ form: null, bool, int, real, string, sequence, map, and a compact vector of
 reals. Sequences decode as tuples so round-tripped values stay hashable and
 usable as map keys.
 
-The in-process simulator passes `Export` objects by reference and only
-encodes when byte accounting is requested; values are treated as immutable
+An export codes its values with this encoding after its template block or
+template key (`fieldcast.engine.Export`).  The in-process simulator passes
+`Export` objects by reference and only encodes when byte accounting is
+requested, under each node's template policy; values are treated as immutable
 once sent either way.
 """
 

@@ -14,6 +14,7 @@ from fieldcast import (
     Engine,
     Export,
     NodeContext,
+    TemplateTable,
     activate,
     aggregate,
     branch,
@@ -262,14 +263,18 @@ def test_criterion_8_determinism_and_wire(tmp_path):
             SCENARIOS[name].run(config_for(name, seed=3, out=str(second), **overrides))
             assert first.read_bytes() == second.read_bytes(), name
 
-        # wire: every final export round-trips, and self-contained exports
-        # with shared path prefixes stay below the 1,550,390 B that
+        # wire: every final export round-trips through a receiver's template
+        # table (inline form first, then the reference form), and exports
+        # sent under the template policy stay below the 1,550,390 B that
         # unchanged-markers sent for this run
         wire_run = channel.run(
             config_for("channel", seed=0, rows=10, cols=10, duration=6.0, wire_stats=True)
         )
+        table = TemplateTable()
         for node in wire_run.simulator.environment.node_list():
-            assert Export.from_bytes(node.last_export.to_bytes()) == node.last_export
+            export = node.last_export
+            assert Export.from_bytes(export.to_bytes(inline=True), table) == export
+            assert Export.from_bytes(export.to_bytes(), table) == export
         wire_bytes = wire_run.simulator.wire_bytes
         assert wire_bytes < 1_550_390, wire_bytes
 

@@ -14,10 +14,13 @@ from fieldcast.engine import (
     KIND_OPERATOR,
     MAX_DEPTH,
     ROOT,
+    TEMPLATE_CAPACITY,
     ScopeToken,
+    TemplateTable,
     intern_path,
 )
-from fieldcast.errors import AlignmentError, EncodingError, UsageError
+from fieldcast.errors import AlignmentError, EncodingError, UnknownTemplateError, UsageError
+from fieldcast.values import encoded, write_uvarint
 
 
 def ctx(device_id=0, time=0.0, sensors=None):
@@ -391,12 +394,22 @@ def test_export_wire_roundtrip():
     engine.exit()
     engine.exit()
     _, export = engine.cooldown()
-    assert Export.from_bytes(export.to_bytes()) == export
+    assert round_trip(export) == export
 
 
 # -- wire format ----------------------------------------------------------------
 
 MAIN = ScopeToken(KIND_FUNCTION, "main", 0)
+
+
+def round_trip(export):
+    """Decode the inline form into a fresh table, then check the reference form decodes equal."""
+    table = TemplateTable()
+    decoded = Export.from_bytes(export.to_bytes(inline=True), table)
+    assert len(table) == 1
+    assert Export.from_bytes(export.to_bytes(), table) == decoded
+    assert len(table) == 1
+    return decoded
 
 
 def trie_size(node=ROOT):
@@ -414,45 +427,53 @@ def test_export_bytes_code_each_path_against_the_previous_one():
             intern_path((MAIN, ScopeToken(KIND_OPERATOR, "share", 0))): 3,
         }
     )
-    assert export.to_bytes() == bytes.fromhex(
-        "02"  # two entries
+    values = "0802" "3ff0000000000000" "4000000000000000" "0306"  # (1.0, 2.0), then 3
+    assert export.to_bytes(inline=True) == bytes.fromhex(
+        "05"  # two entries << 1 | inline
         "00" "02"  # shares no token with the empty path, two new tokens
         "00" "05046d61696e"  # occurrence 0 << 2 | fn, "main"
         "01" "05096e65696768626f7273"  # occurrence 0 << 2 | op, "neighbors"
-        "0802" "3ff0000000000000" "4000000000000000"  # (1.0, 2.0)
         "01" "01"  # shares fn main, one new token
         "01" "05057368617265"  # occurrence 0 << 2 | op, "share"
-        "0306"  # 3
+        + values
     )
-    assert len(export.to_bytes()) == 52
+    assert len(export.to_bytes(inline=True)) == 52
+    # the reference form: the first 8 bytes of the block's SHA-256, then the same values
+    assert export.to_bytes() == bytes.fromhex("04" "46a46638381d8f7b" + values)
+    assert len(export.to_bytes()) == 29
 
 
 def test_a_path_is_coded_against_each_predecessor_it_follows():
-    # fn main/op share follows a different path in each export, so its cached
-    # bytes must be keyed by the predecessor as well as by the node
+    # fn main/op share follows a different path in each export, so each
+    # template codes it against its own predecessor, and the keys differ
     share = intern_path((MAIN, ScopeToken(KIND_OPERATOR, "share", 0)))
     after_neighbors = Export(
         {intern_path((MAIN, ScopeToken(KIND_OPERATOR, "neighbors", 0))): 1, share: 2}
     )
     after_f = Export({intern_path((ScopeToken(KIND_FUNCTION, "f", 0),)): 1, share: 2})
-    assert after_neighbors.to_bytes() == bytes.fromhex(
-        "02"
-        "00" "02" "00" "05046d61696e" "01" "05096e65696768626f7273" "0302"  # main/neighbors: 1
-        "01" "01" "01" "05057368617265" "0304"  # shares fn main; op share: 2
+    assert after_neighbors.to_bytes(inline=True) == bytes.fromhex(
+        "05"
+        "00" "02" "00" "05046d61696e" "01" "05096e65696768626f7273"  # main/neighbors
+        "01" "01" "01" "05057368617265"  # shares fn main; op share
+        "0302" "0304"  # 1, 2
     )
-    assert after_f.to_bytes() == bytes.fromhex(
-        "02"
-        "00" "01" "00" "050166" "0302"  # fn f: 1
-        "00" "02" "00" "05046d61696e" "01" "05057368617265" "0304"  # shares nothing with fn f
+    assert after_f.to_bytes(inline=True) == bytes.fromhex(
+        "05"
+        "00" "01" "00" "050166"  # fn f
+        "00" "02" "00" "05046d61696e" "01" "05057368617265"  # shares nothing with fn f
+        "0302" "0304"
     )
+    assert after_neighbors.to_bytes() == bytes.fromhex("04" "46a46638381d8f7b" "0302" "0304")
+    assert after_f.to_bytes() == bytes.fromhex("04" "77c17a0f5b51fc88" "0302" "0304")
     for export in (after_neighbors, after_f):
-        assert Export.from_bytes(export.to_bytes()) == export
+        assert round_trip(export) == export
 
 
 def test_encoding_an_export_twice_gives_the_same_bytes():
     deep = intern_path((MAIN, ScopeToken(KIND_BRANCH_LEFT, None, 40)))
     export = Export({deep: 1.5, deep.parent: "x"})  # the second path is a prefix of the first
-    assert export.to_bytes() == export.to_bytes()
+    for inline in (False, True):
+        assert export.to_bytes(inline) == export.to_bytes(inline)
 
 
 def test_threads_encoding_new_paths_at_once_get_the_same_bytes():
@@ -465,7 +486,7 @@ def test_threads_encoding_new_paths_at_once_get_the_same_bytes():
 
     def encode():
         start.wait(timeout=10)
-        encoded.append(export.to_bytes())
+        encoded.append(export.to_bytes(inline=True))
 
     threads = [threading.Thread(target=encode) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -479,7 +500,7 @@ def test_threads_encoding_new_paths_at_once_get_the_same_bytes():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(encoded) == 4 and len(set(encoded)) == 1
-    assert Export.from_bytes(encoded[0]) == export
+    assert Export.from_bytes(encoded[0], TemplateTable()) == export
 
 
 occurrences = st.integers(0, 300)  # from 32 on, a packed token takes two bytes
@@ -532,35 +553,103 @@ DEEP = (MAIN, ScopeToken(KIND_BRANCH_LEFT, None, 40), ScopeToken(KIND_OPERATOR, 
     )
 )
 def test_export_wire_roundtrip_keeps_every_path_and_the_order(export):
-    decoded = Export.from_bytes(export.to_bytes())
+    decoded = round_trip(export)
     assert list(decoded.entries.items()) == list(export.entries.items())
 
 
 @pytest.mark.parametrize(
     "raw, reason",
     [
-        # one entry: shares 0, one new token fn #0 whose name is b"\xff"
-        (bytes.fromhex("0100010005" "01ff" "00"), "invalid UTF-8"),
-        # one entry at the empty path whose value is the map {{}: None}
-        (bytes.fromhex("010000" "0701070000"), "unhashable map key"),
-        # one entry: a token named by the integer 1
-        (bytes.fromhex("01000100" "0302" "00"), "token name of type int"),
-        # the first entry claims to share one token with the empty path
-        (bytes.fromhex("01010000"), "shares 1 tokens with a path of 0"),
+        # one inline entry: shares 0, one new token fn #0 whose name is b"\xff"
+        (bytes.fromhex("0300010005" "01ff" "00"), "invalid UTF-8"),
+        # one inline entry at the empty path whose value is the map {{}: None}
+        (bytes.fromhex("030000" "0701070000"), "unhashable map key"),
+        # one inline entry: a token named by the integer 1
+        (bytes.fromhex("03000100" "0302" "00"), "token name of type int"),
+        # the first path claims to share one token with the empty path
+        (bytes.fromhex("03010000"), "shares 1 tokens with a path of 0"),
         # a complete one-entry export followed by one more byte
-        (bytes.fromhex("01000000" "ff"), "1 trailing bytes"),
+        (bytes.fromhex("03000000" "ff"), "1 trailing bytes"),
         # a value nested 5000 sequences deep
-        (bytes.fromhex("010000" + "0601" * 5000 + "00"), "nested too deeply"),
-        # one entry: shares 0, 129 new tokens right #1, value None
-        (bytes.fromhex("01008101" + "0700" * 129 + "00"), "path of 129 tokens, deeper than 128"),
+        (bytes.fromhex("030000" + "0601" * 5000 + "00"), "nested too deeply"),
+        # one inline entry: shares 0, 129 new tokens right #1, value None
+        (bytes.fromhex("03008101" + "0700" * 129 + "00"), "path of 129 tokens, deeper than 128"),
+        # a reference whose key stops after two bytes
+        (bytes.fromhex("02" "0102"), "truncated template key"),
+        # two inline entries, both at the empty path
+        (bytes.fromhex("05" "0000" "0000" "00" "00"), "template repeats a path"),
+        # a reference to the known template with one entry fewer than it holds
+        (bytes.fromhex("02" "46a46638381d8f7b" "00"), "has 2 paths, not 1"),
     ],
-    ids=["utf8", "unhashable-key", "name-type", "shared-prefix", "trailing", "nesting", "depth"],
+    ids=[
+        "utf8",
+        "unhashable-key",
+        "name-type",
+        "shared-prefix",
+        "trailing",
+        "nesting",
+        "depth",
+        "truncated-key",
+        "repeated-path",
+        "count",
+    ],
 )
 def test_malformed_export_raises_encoding_error(raw, reason):
+    table = TemplateTable()
+    known = Export(
+        {
+            intern_path((MAIN, ScopeToken(KIND_OPERATOR, "neighbors", 0))): 1,
+            intern_path((MAIN, ScopeToken(KIND_OPERATOR, "share", 0))): 2,
+        }
+    )
+    Export.from_bytes(known.to_bytes(inline=True), table)
+    shapes = dict(table)
     before = trie_size()
-    with pytest.raises(EncodingError, match=reason):
-        Export.from_bytes(raw)
+    with pytest.raises(EncodingError, match=reason) as caught:
+        Export.from_bytes(raw, table)
+    assert type(caught.value) is EncodingError
+    assert table == shapes
     assert trie_size() == before
+
+
+def test_a_reference_decodes_only_against_a_table_that_admitted_its_template():
+    export = Export({intern_path((MAIN, ScopeToken(KIND_OPERATOR, "late", 0))): 1.5})
+    table = TemplateTable()
+    key = export.to_bytes()[1:9]
+    with pytest.raises(UnknownTemplateError, match=f"unknown template {key.hex()}"):
+        Export.from_bytes(export.to_bytes(), table)
+    assert len(table) == 0
+    assert Export.from_bytes(export.to_bytes(inline=True), table) == export
+    assert Export.from_bytes(export.to_bytes(), table) == export
+
+
+def flood_template(occurrence):
+    """An inline one-entry export at fn flood#0/op x#<occurrence> carrying None, built by hand."""
+    raw = bytearray.fromhex("03" "00" "02" "00") + encoded("flood")
+    write_uvarint(raw, occurrence << 2 | 1)
+    return bytes(raw + encoded("x") + encoded(None))
+
+
+def test_a_template_table_holds_its_capacity_and_interns_only_what_it_admits():
+    table = TemplateTable()
+    before = trie_size()
+    refused = 0
+    for occurrence in range(10_000):
+        try:
+            Export.from_bytes(flood_template(occurrence), table)
+        except UnknownTemplateError as error:
+            assert str(error) == f"template table full ({TEMPLATE_CAPACITY} templates)"
+            refused += 1
+    assert len(table) == TEMPLATE_CAPACITY
+    assert refused == 10_000 - TEMPLATE_CAPACITY
+    admitted_tokens = sum(node.depth for shape in table.values() for node in shape)
+    assert trie_size() - before <= admitted_tokens
+    flood = ROOT.children[(KIND_FUNCTION, "flood", 0)]
+    assert sorted(key[2] for key in flood.children) == list(range(TEMPLATE_CAPACITY))
+    # the first templates keep decoding; a refused one stays unknown
+    assert len(Export.from_bytes(flood_template(0), table)) == 1
+    with pytest.raises(UnknownTemplateError):
+        Export.from_bytes(flood_template(TEMPLATE_CAPACITY), table)
 
 
 def test_a_token_name_the_wire_cannot_carry_raises_encoding_error():
@@ -594,7 +683,7 @@ def deep_path(depth):
 
 def test_a_path_at_the_depth_limit_round_trips():
     export = Export({deep_path(MAX_DEPTH): 1, deep_path(2): 2})
-    decoded = Export.from_bytes(export.to_bytes())
+    decoded = round_trip(export)
     assert list(decoded.entries.items()) == list(export.entries.items())
 
 
@@ -617,13 +706,14 @@ def test_no_node_deeper_than_the_limit_is_ever_interned():
 
 
 @given(st.binary(max_size=64))
-@example(bytes.fromhex("02020627"))
-@example(bytes.fromhex("0809"))
-@example(bytes.fromhex("0508e60bed830279044f0309026034344d040637"))
-@example(bytes.fromhex("070b070a0700000806fa044e04bf"))
+@example(bytes.fromhex("05020627"))
+@example(bytes.fromhex("1109"))
+@example(bytes.fromhex("0b08e60bed830279044f0309026034344d040637"))
+@example(bytes.fromhex("0f0b070a0700000806fa044e04bf"))
+@example(bytes.fromhex("00" "46a46638381d8f7b"))  # a reference to a template of no paths
 def test_export_from_any_bytes_decodes_or_raises_encoding_error(raw):
     try:
-        decoded = Export.from_bytes(raw)
+        decoded = Export.from_bytes(raw, TemplateTable())
     except EncodingError:
         return
     assert isinstance(decoded, Export)
@@ -685,7 +775,7 @@ def test_a_decoded_export_gives_the_same_field_as_the_export_itself():
         receiver.exit()
         return field.items()
 
-    decoded = Export.from_bytes(export.to_bytes())
+    decoded = round_trip(export)
     assert list(decoded.entries) == list(export.entries)
     assert field_from(decoded) == field_from(export) == [(0, "own"), (1, (1.5, "x"))]
 

@@ -462,7 +462,21 @@ def test_cli_traces_match_the_recorded_digests(tmp_path):
 
 
 def test_channel_wire_bytes_match_the_recorded_figure():
-    # the digest test's channel run with every export encoded; this pins every
-    # byte count the wire sends, where criterion 8 bounds a larger run's total
+    # the digest test's channel run with every export encoded under the
+    # template policy; this pins every byte count the wire sends, where
+    # criterion 8 bounds a larger run's total
     result = channel.run(config_for("channel", seed=3, duration=2.0, wire_stats=True))
-    assert result.simulator.wire_bytes == 1_390_726
+    simulator = result.simulator
+    assert simulator.wire_bytes == 524_326
+    # 400 nodes x 20 rounds, each node's first export inline (a refresh is due at its 21st)
+    assert (simulator.wire_exports, simulator.inline_exports) == (8000, 400)
+    assert simulator.wire_bytes / simulator.wire_exports <= 66
+
+
+def test_wire_stats_count_the_exports_and_the_inline_templates(capsys):
+    # 9 nodes x 25 rounds (t = 0 .. 2.4); each node sends its template inline
+    # in its 1st and 21st export, one refresh per TEMPLATE_REFRESH exports
+    args = ["run", "gossip-max", "--rows", "3", "--cols", "3", "--duration", "2.45"]
+    assert main(args + ["--wire-stats"]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(", 4500 wire bytes in 225 exports (18 inline)"), summary
