@@ -38,13 +38,16 @@ from .errors import UsageError
 from .fields import NeighborhoodField
 
 engine_var: ContextVar[Engine] = ContextVar("fieldcast_engine")
+# The operators read `engine_var` themselves rather than call `current_engine`:
+# on the per-round path a call is most of what such a read costs.
+NO_ENGINE = "no engine active in this context"
 
 
 def current_engine() -> Engine:
-    try:
-        return engine_var.get()
-    except LookupError:
-        raise UsageError("no engine active in this context") from None
+    engine = engine_var.get(None)
+    if engine is None:
+        raise UsageError(NO_ENGINE)
+    return engine
 
 
 @contextmanager
@@ -93,7 +96,9 @@ def remember(initial: Any) -> tuple[StateHandle, Any]:
     previous round (or the old value, carried forward, if the setter was
     never called).  At most one write takes effect per round, the last one.
     """
-    engine = current_engine()
+    engine = engine_var.get(None)
+    if engine is None:
+        raise UsageError(NO_ENGINE)
     engine.enter(KIND_OPERATOR, "remember")
     try:
         value, node = engine.write_slot(initial)
@@ -109,7 +114,9 @@ def neighbors(value: Any) -> NeighborhoodField:
     value sent this round.  Passing a `StateHandle` shares the slot's
     round-start value.
     """
-    engine = current_engine()
+    engine = engine_var.get(None)
+    if engine is None:
+        raise UsageError(NO_ENGINE)
     payload = value.current if isinstance(value, StateHandle) else value
     engine.enter(KIND_OPERATOR, "neighbors")
     try:
@@ -129,7 +136,9 @@ def share(initial: Any, update: Callable[[NeighborhoodField], Any]) -> Any:
     information advances one hop per round; the building-block library is
     built on this.
     """
-    engine = current_engine()
+    engine = engine_var.get(None)
+    if engine is None:
+        raise UsageError(NO_ENGINE)
     engine.enter(KIND_OPERATOR, "share")
     try:
         value = update(engine.receive(initial))
@@ -158,7 +167,9 @@ def aggregate_call(name: str, body: Callable[[], Any]) -> Any:
 
 def _scoped(kind: str, name: str | None, body: Callable[[], Any]) -> Any:
     """Run ``body`` inside one scope token, closed however the body ends."""
-    engine = current_engine()
+    engine = engine_var.get(None)
+    if engine is None:
+        raise UsageError(NO_ENGINE)
     engine.enter(kind, name)
     try:
         return body()
@@ -173,7 +184,9 @@ def aggregate(fn: Callable) -> Callable:
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        engine = current_engine()
+        engine = engine_var.get(None)
+        if engine is None:
+            raise UsageError(NO_ENGINE)
         engine.enter(KIND_FUNCTION, name)
         try:
             return fn(*args, **kwargs)

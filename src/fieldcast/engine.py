@@ -55,7 +55,7 @@ MAX_DEPTH = 128
 TEMPLATE_CAPACITY = 256
 
 _MISSING = object()
-_NO_ROUND = "no round in progress (call setup first)"
+NO_ROUND = "no round in progress (call setup first)"
 
 
 class ScopeToken(NamedTuple):
@@ -334,10 +334,11 @@ class Engine:
         self._inbound.append((own_id, self._own))
         self._inbound.sort()  # ids are distinct, so no two entry dicts are compared
         self._node = ROOT
-        # (scope node, kind, name) -> how many such tokens the scope entered
-        # this round; a node is entered at most once per round, so it names
-        # the scope instance
-        self._occurrences: dict = {}
+        # the nodes entered this round: a node is entered at most once per
+        # round and occurrences are taken in order, so a token's occurrence
+        # is the first one whose node is not in here.  It lives on the engine,
+        # not on the shared nodes, so rounds on separate threads stay apart.
+        self._entered: set[PathNode] = set()
         self._slots: dict = {}
         self._slot_current: dict = {}
         self._export: dict = {}
@@ -358,7 +359,7 @@ class Engine:
 
     def _require_round(self) -> None:
         if self.context is None:
-            raise UsageError(_NO_ROUND)
+            raise UsageError(NO_ROUND)
 
     # -- alignment ----------------------------------------------------------
 
@@ -369,26 +370,30 @@ class Engine:
     def enter(self, kind: str, name: str | None = None) -> PathNode:
         """Push a scope token and return the new path's node.
 
-        Occurrence counters restart per parent scope and per round.  A token
-        that would take the path past `MAX_DEPTH` raises `AlignmentError`.
+        The token's occurrence is the number of times the enclosing scope has
+        entered ``(kind, name)`` this round: the first child with that kind
+        and name not yet entered this round.  A token that would take the
+        path past `MAX_DEPTH` raises `AlignmentError`.
         """
         if self.context is None:
-            raise UsageError(_NO_ROUND)
-        parent = self._node
-        occurrences = self._occurrences
-        key = (parent, kind, name)
-        occurrence = occurrences.get(key, 0)
-        occurrences[key] = occurrence + 1
-        node = parent.children.get((kind, name, occurrence))
+            raise UsageError(NO_ROUND)
+        children = self._node.children
+        entered = self._entered
+        occurrence = 0
+        node = children.get((kind, name, 0))
+        while node in entered:
+            occurrence += 1
+            node = children.get((kind, name, occurrence))
         if node is None:
-            node = parent.child(kind, name, occurrence)
+            node = self._node.child(kind, name, occurrence)
+        entered.add(node)
         self._node = node
         return node
 
     def exit(self) -> None:
         """Pop the innermost scope token."""
         if self.context is None:
-            raise UsageError(_NO_ROUND)
+            raise UsageError(NO_ROUND)
         node = self._node
         if node is ROOT:
             raise AlignmentError((), "exit called with empty alignment path")
@@ -403,7 +408,7 @@ class Engine:
         last round (or the carried-forward value if never set).
         """
         if self.context is None:
-            raise UsageError(_NO_ROUND)
+            raise UsageError(NO_ROUND)
         node = self._node
         if node in self._slot_current:
             raise AlignmentError(node.tokens, "state slot claimed twice in one round")
@@ -431,7 +436,7 @@ class Engine:
     def send(self, value: Any) -> None:
         """Stage ``value`` into the export at the current path."""
         if self.context is None:
-            raise UsageError(_NO_ROUND)
+            raise UsageError(NO_ROUND)
         node = self._node
         if node in self._export:
             raise AlignmentError(node.tokens, "export path used twice in one round")
@@ -445,7 +450,7 @@ class Engine:
         the value sent this round, if any.
         """
         if self.context is None:
-            raise UsageError(_NO_ROUND)
+            raise UsageError(NO_ROUND)
         return self._gather(self._export.get(self._node, _MISSING))
 
     def receive(self, initial: Any = _MISSING) -> NeighborhoodField:
@@ -457,7 +462,7 @@ class Engine:
         read-update-send operator carry its state in the export itself.
         """
         if self.context is None:
-            raise UsageError(_NO_ROUND)
+            raise UsageError(NO_ROUND)
         return self._gather(self._own_previous.get(self._node, initial))
 
     def _gather(self, own: Any) -> NeighborhoodField:

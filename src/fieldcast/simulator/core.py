@@ -110,11 +110,15 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
     env = simulator.environment
     now = simulator.time
     if not node.suppressed:
+        nodes = env.nodes
         inbound = {}
-        for neighbor_id in env.neighbor_ids(node) + (node.id,):
-            export = env.nodes[neighbor_id].export_before(now)
+        for neighbor_id in env.neighbor_ids(node):
+            export = nodes[neighbor_id].export_before(now)
             if export is not None:
                 inbound[neighbor_id] = export
+        export = node.export_before(now)
+        if export is not None:
+            inbound[node.id] = export
         context = NodeContext(node.id, node.position, now, node.data, node.rng)
         engine = Engine()
         try:

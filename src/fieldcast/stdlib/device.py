@@ -4,21 +4,33 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..calculus import current_engine
+from ..calculus import NO_ENGINE, current_engine, engine_var
+from ..engine import NO_ROUND, NodeContext
 from ..errors import MissingSensorError, UsageError
 
 
+def round_context() -> NodeContext:
+    """The context of the round in progress; `UsageError` outside a round."""
+    engine = engine_var.get(None)
+    if engine is None:
+        raise UsageError(NO_ENGINE)
+    context = engine.context
+    if context is None:
+        raise UsageError(NO_ROUND)
+    return context
+
+
 def local_id() -> int:
-    return current_engine().context.device_id
+    return round_context().device_id
 
 
 def local_position() -> tuple[float, float]:
-    return current_engine().context.position
+    return round_context().position
 
 
 def sense(name: str) -> Any:
     """Read a named sensor from the node context."""
-    sensors = current_engine().context.sensors
+    sensors = round_context().sensors
     if name not in sensors:
         raise MissingSensorError(name)
     return sensors[name]
@@ -26,7 +38,7 @@ def sense(name: str) -> Any:
 
 def context_rng():
     """The node's deterministic random stream."""
-    rng = current_engine().context.rng
+    rng = round_context().rng
     if rng is None:
         raise UsageError("node context provides no random stream")
     return rng

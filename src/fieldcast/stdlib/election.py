@@ -46,14 +46,15 @@ def leader_election(radius: float, metric: NeighborhoodField) -> ElectionResult:
         set_key(key)
 
     me = local_id()
+    edges = metric._values  # the field's own dict: plain lookups, no dunder calls
     outcome = {}
 
     def compete(tables: NeighborhoodField) -> dict:
         merged: dict = {}
         for neighbor_id, table in tables.items():
-            if neighbor_id == me or neighbor_id not in metric:
+            if neighbor_id == me or neighbor_id not in edges:
                 continue
-            edge = metric[neighbor_id]
+            edge = edges[neighbor_id]
             for uid, entry in table.items():
                 distance = entry[1] + edge
                 if distance > radius:
@@ -62,10 +63,12 @@ def leader_election(radius: float, metric: NeighborhoodField) -> ElectionResult:
                 if known is None or distance < known[1]:
                     merged[uid] = (entry[0], distance)
         # An echo of this node's own candidacy is not a challenger.
-        challenger = min(
-            ((entry[0], uid) for uid, entry in merged.items() if uid != me),
-            default=None,
-        )
+        challenger = None  # the first smallest (key, id), as min() takes it
+        for uid, entry in merged.items():
+            if uid != me:
+                candidate = (entry[0], uid)
+                if challenger is None or candidate < challenger:
+                    challenger = candidate
         am_leader = challenger is None or (key, me) < challenger
         if am_leader:
             merged[me] = (key, 0.0)

@@ -45,10 +45,14 @@ def distance_to(source: bool, metric: NeighborhoodField) -> float:
 def _relax(links: NeighborhoodField, metric: NeighborhoodField) -> float:
     """``distance_to``'s relax over the potentials the neighbors carry in ``entry[0]``."""
     owner = links.owner
-    return min(
-        (entry[0] + metric[j] for j, entry in links.items() if j != owner and j in metric),
-        default=INF,
-    )
+    edges = metric._values  # the field's own dict: plain lookups, no dunder calls
+    best = None  # the first smallest estimate, as min() takes it
+    for j, entry in links.items():
+        if j != owner and j in edges:
+            estimate = entry[0] + edges[j]
+            if best is None or estimate < best:
+                best = estimate
+    return INF if best is None else best
 
 
 @aggregate
@@ -67,15 +71,13 @@ def broadcast(source: bool, value: Any, metric: NeighborhoodField) -> Any:
     def update(links: NeighborhoodField) -> tuple:
         if source:
             return (0.0, value)
-        parent = min(
-            (
-                (entry[0], neighbor_id, entry[1])
-                for neighbor_id, entry in links.items()
-                if neighbor_id != links.owner and entry[0] != INF
-            ),
-            default=None,
-        )
-        return (_relax(links, metric), parent[2] if parent is not None else value)
+        # ids ascend, so the first smallest potential is the smallest (potential, id)
+        owner = links.owner
+        parent = None
+        for neighbor_id, entry in links.items():
+            if neighbor_id != owner and entry[0] != INF and (parent is None or entry[0] < parent[0]):
+                parent = entry
+        return (_relax(links, metric), parent[1] if parent is not None else value)
 
     return share((INF, None), update)[1]
 
@@ -101,13 +103,15 @@ def cast_from(
     def update(links: NeighborhoodField) -> tuple:
         if source:
             return (0.0, initial)
+        owner = links.owner
+        edges = metric._values
         best_key = None
         best = None
         for neighbor_id, entry in links.items():
             upstream = entry[0]
-            if neighbor_id == links.owner or upstream == INF or neighbor_id not in metric:
+            if neighbor_id == owner or upstream == INF or neighbor_id not in edges:
                 continue
-            weight = metric[neighbor_id]
+            weight = edges[neighbor_id]
             key = (upstream + weight, neighbor_id)
             if best_key is None or key < best_key:
                 best_key = key

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from ..calculus import aggregate, current_engine, remember
+from ..calculus import aggregate, remember
 from ..errors import DomainError
+from .device import round_context
 
 
 def current_time() -> float:
-    return current_engine().context.time
+    return round_context().time
 
 
 @aggregate

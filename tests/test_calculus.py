@@ -1,5 +1,8 @@
 """Core operator semantics: remember, neighbors, share, branch, aggregate."""
 
+import sys
+import threading
+
 import pytest
 
 from fieldcast import (
@@ -16,6 +19,7 @@ from fieldcast import (
 )
 from fieldcast.engine import MAX_DEPTH
 from fieldcast.errors import AlignmentError, UsageError
+from fieldcast.stdlib import local_id
 from netharness import SweepNetwork, clique_topology, line_topology
 
 
@@ -332,6 +336,89 @@ def test_a_scope_left_open_in_an_operator_body_aborts_the_round(operator, open_p
 def test_operators_outside_engine_context_raise():
     with pytest.raises(UsageError):
         remember(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: remember(0),
+        lambda: neighbors(0),
+        lambda: share(0, lambda field: 0),
+        lambda: branch(True, lambda: 0, lambda: 0),
+        lambda: aggregate_call("block", lambda: 0),
+        aggregate(lambda: 0),
+        current_engine,
+    ],
+    ids=["remember", "neighbors", "share", "branch", "aggregate_call", "aggregate", "current_engine"],
+)
+def test_every_operator_outside_an_engine_raises_usage_error(call):
+    with pytest.raises(UsageError, match="^no engine active in this context$"):
+        call()
+
+
+def test_rounds_on_separate_threads_stay_apart():
+    """Two threads step one program in lockstep, each on its own engine.
+
+    A barrier makes both threads enter every scope before either leaves it,
+    so state shared between engines (such as the per-round record of entered
+    scopes) would shift one thread's occurrences.  The scope names are new to
+    the process, so the threads also race to make the same path nodes.
+    """
+    lockstep = threading.Barrier(2)
+    pausing = True
+
+    def pause():
+        if pausing:
+            lockstep.wait(timeout=10)
+
+    @aggregate
+    def lockstep_inner(value):
+        pause()
+        return neighbors(value).local()
+
+    @aggregate
+    def lockstep_program():
+        set_count, count = remember(0)
+        set_count(count + 1)
+        pause()
+        first = lockstep_inner(local_id())
+        second = lockstep_inner(local_id() * 10)
+        pause()
+        shared = share(local_id(), lambda field: field.local() + 1)
+        side = branch(local_id() % 2 == 0, lambda: neighbors("even").local(), lambda: neighbors("odd").local())
+        return first, second, shared, side
+
+    def round_of(device_id):
+        engine = Engine()
+        with activate(engine):
+            engine.setup(NodeContext(device_id, (0.0, 0.0), 0.0, {}), {}, None)
+            result = lockstep_program()
+            state, export = engine.cooldown()
+        return result, [node.tokens for node in state], export.paths(), export
+
+    threaded = {}
+
+    def run(device_id):
+        threaded[device_id] = round_of(device_id)
+
+    threads = [threading.Thread(target=run, args=(device_id,)) for device_id in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    pausing = False
+    sequential = {device_id: round_of(device_id) for device_id in (1, 2)}
+    assert threaded == sequential
+    assert threaded[1][0] == (1, 10, 2, "odd") and threaded[2][0] == (2, 20, 3, "even")
+    inner = [path for path in threaded[1][2] if path[1].name == "lockstep_inner"]
+    assert [path[1].occurrence for path in inner] == [0, 1]
 
 
 def test_alignment_diagnostics_name_the_path():

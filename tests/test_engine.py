@@ -114,6 +114,51 @@ def test_occurrence_counters_reset_per_scope_and_per_round():
     engine.exit()
 
 
+def occurrences_of(engine, names):
+    """Enter and exit each name in turn; the occurrence each one took."""
+    taken = []
+    for name in names:
+        node = engine.enter(KIND_FUNCTION, name)
+        taken.append((name, node.tokens[-1].occurrence))
+        engine.exit()
+    return taken
+
+
+def test_interleaved_siblings_count_each_name_apart():
+    engine = fresh()
+    taken = occurrences_of(engine, ["il_f", "il_g", "il_f", "il_g"])
+    assert taken == [("il_f", 0), ("il_g", 0), ("il_f", 1), ("il_g", 1)]
+
+
+def test_occurrences_other_devices_put_into_the_trie_do_not_count():
+    busy = fresh(device_id=1)
+    assert occurrences_of(busy, ["tr_f"] * 3) == [("tr_f", 0), ("tr_f", 1), ("tr_f", 2)]
+    assert ROOT.children[(KIND_FUNCTION, "tr_f", 2)] is not None
+    assert occurrences_of(fresh(device_id=2), ["tr_f"]) == [("tr_f", 0)]
+
+
+def test_entering_a_name_again_after_its_exit_counts_up():
+    engine = fresh()
+    engine.enter(KIND_FUNCTION, "ex_outer")
+    first = engine.enter(KIND_FUNCTION, "ex_f")
+    engine.exit()
+    second = engine.enter(KIND_FUNCTION, "ex_f")
+    engine.exit()
+    engine.exit()
+    assert second is not first and second.parent is first.parent
+    assert [first.tokens[-1].occurrence, second.tokens[-1].occurrence] == [0, 1]
+
+
+def test_the_round_after_an_abort_counts_from_zero():
+    engine = fresh()
+    engine.enter(KIND_FUNCTION, "ab_f")
+    engine.exit()
+    engine.enter(KIND_FUNCTION, "ab_f")  # left open, as a failing body would
+    engine.abort()
+    engine.setup(ctx(), {}, None)
+    assert occurrences_of(engine, ["ab_f", "ab_f"]) == [("ab_f", 0), ("ab_f", 1)]
+
+
 def test_exit_on_empty_path_is_alignment_error():
     engine = fresh()
     with pytest.raises(AlignmentError):

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fieldcast import aggregate
 from fieldcast.errors import DomainError
@@ -17,6 +18,7 @@ from fieldcast.stdlib import (
     neighbors_distances,
     sense,
 )
+from fieldcast.stdlib.spreading import _relax
 from netharness import SweepNetwork, grid_topology, line_topology, scripted
 
 
@@ -248,3 +250,19 @@ def test_cast_hop_counter_matches_bfs_depth():
     unit_adjacency = {n: {p: 1.0 for p in peers} for n, peers in network.topology.items()}
     reference = oracles.bfs_hops(unit_adjacency, [0])
     assert results == {n: int(reference[n]) for n in results}
+
+
+potentials = st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf])
+
+
+@given(
+    links=st.dictionaries(st.integers(0, 6), st.tuples(potentials, st.none()), max_size=7),
+    metric=st.dictionaries(st.integers(0, 6), st.sampled_from([0.0, 0.5, 1.0, math.inf]), max_size=7),
+)
+def test_relax_takes_what_min_takes(links, metric):
+    links, metric = NeighborhoodField(0, links), NeighborhoodField(0, metric)
+    expected = min(
+        (entry[0] + metric[j] for j, entry in links.items() if j != 0 and j in metric),
+        default=math.inf,
+    )
+    assert repr(_relax(links, metric)) == repr(expected)

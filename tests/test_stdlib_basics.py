@@ -2,9 +2,10 @@
 
 import pytest
 
-from fieldcast import aggregate
-from fieldcast.errors import DomainError, MissingSensorError
+from fieldcast import Engine, NodeContext, activate, aggregate
+from fieldcast.errors import DomainError, MissingSensorError, UsageError
 from fieldcast.stdlib import (
+    context_rng,
     countdown,
     current_time,
     exponential_decay,
@@ -38,6 +39,29 @@ def test_unknown_sensor_raises():
 
     with pytest.raises(MissingSensorError):
         network.sweep(bad)
+
+
+DEVICE_ACCESSORS = {
+    "local_id": local_id,
+    "local_position": local_position,
+    "sense": lambda: sense("temp"),
+    "context_rng": context_rng,
+    "current_time": current_time,
+}
+
+
+@pytest.mark.parametrize("accessor", DEVICE_ACCESSORS.values(), ids=DEVICE_ACCESSORS.keys())
+def test_device_accessors_outside_a_round_raise_usage_error(accessor):
+    engine = Engine()
+    with activate(engine):
+        with pytest.raises(UsageError, match=r"^no round in progress \(call setup first\)$"):
+            accessor()  # before the first round
+        engine.setup(NodeContext(0, (0.0, 0.0), 0.0, {"temp": 1.0}), {}, None)
+        engine.cooldown()
+        with pytest.raises(UsageError, match="^no round in progress"):
+            accessor()  # after the round ended
+    with pytest.raises(UsageError, match="^no engine active in this context$"):
+        accessor()
 
 
 def test_round_counter_and_time():
