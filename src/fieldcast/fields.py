@@ -18,12 +18,15 @@ from .errors import EmptyFieldError
 class NeighborhoodField:
     """Per-neighbor values for one program point, owned by a device."""
 
-    __slots__ = ("owner", "_values")
+    # _metric_checked: every entry passed the building blocks' metric check
+    # (see stdlib's check_metric); a field never changes, so once is enough.
+    __slots__ = ("owner", "_values", "_metric_checked")
 
     def __init__(self, owner: int, values: dict[int, Any]):
         """Copy ``values``, given in any order, into ascending-id order."""
         self.owner = owner
         self._values = dict(sorted(values.items()))
+        self._metric_checked = False
 
     # -- access -----------------------------------------------------------
 
@@ -138,6 +141,7 @@ def from_ordered(owner: int, values: dict[int, Any]) -> NeighborhoodField:
     field = object.__new__(NeighborhoodField)
     field.owner = owner
     field._values = values
+    field._metric_checked = False
     return field
 
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
+from math import hypot
 
 from ..calculus import aggregate, neighbors
-from ..fields import NeighborhoodField
+from ..fields import NeighborhoodField, from_ordered
 from .device import local_id, local_position
 
 
@@ -15,7 +15,9 @@ def neighbors_distances() -> NeighborhoodField:
     own = local_position()
     positions = neighbors(own)
     ox, oy = own
-    return positions.map_values(lambda p: math.hypot(p[0] - ox, p[1] - oy))
+    return from_ordered(
+        positions.owner, {j: hypot(p[0] - ox, p[1] - oy) for j, p in positions.items()}
+    )
 
 
 @aggregate
@@ -23,4 +25,4 @@ def hop_distances() -> NeighborhoodField:
     """Unit distance to every neighbor (self maps to 0)."""
     present = neighbors(True)
     me = local_id()
-    return NeighborhoodField(me, {j: 0.0 if j == me else 1.0 for j in present.ids()})
+    return from_ordered(me, {j: 0.0 if j == me else 1.0 for j in present.ids()})

@@ -6,7 +6,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..calculus import aggregate, neighbors
 from ..errors import DomainError
-from ..fields import NeighborhoodField
+from ..fields import NeighborhoodField, from_ordered
 from .device import local_id
 
 
@@ -22,7 +22,7 @@ def loss_based_distances(
     """
     shared = neighbors(tuple(float(w) for w in model))
     me = local_id()
-    return NeighborhoodField(
+    return from_ordered(
         me,
         {
             j: 0.0 if j == me else float(evaluate(received))

@@ -9,7 +9,6 @@ or topology change.
 
 from __future__ import annotations
 
-from operator import add
 from typing import Any, Callable
 
 from ..calculus import aggregate, share
@@ -23,8 +22,11 @@ def distance_to(source: bool, metric: NeighborhoodField) -> float:
 
     One Bellman-Ford relaxation per round: sources clamp to 0, everyone else
     takes the minimum neighbor estimate plus edge length, +inf when no
-    neighbor has an estimate yet.  Own older estimates never participate, so
-    values can rise again after a source moves or disappears.
+    neighbor is aligned in both the estimates and the metric.  The relaxation
+    is one loop over the estimates that reads the metric's entries in place
+    and keeps the first minimum in ascending-id order, as ``min`` would.  Own
+    older estimates never participate, so values can rise again after a
+    source moves or disappears.
 
     Count to infinity: in a connected component with no source every
     estimate is still some neighbor's estimate plus an edge, so once finite
@@ -37,7 +39,15 @@ def distance_to(source: bool, metric: NeighborhoodField) -> float:
     def relax(estimates: NeighborhoodField) -> float:
         if source:
             return 0.0
-        return min(estimates.exclude_self().zip_with(metric, add).values(), default=INF)
+        owner = estimates.owner
+        edges = metric._values  # the field's own dict: plain lookups, no dunder calls
+        best = None  # the first smallest estimate, as min() takes it
+        for j, estimate in estimates.items():
+            if j != owner and j in edges:
+                candidate = estimate + edges[j]
+                if best is None or candidate < best:
+                    best = candidate
+        return INF if best is None else best
 
     return share(INF, relax)
 

@@ -1,18 +1,28 @@
-"""One share per block: the library blocks against their nested-share forms.
+"""The library blocks against the earlier forms they replace.
 
-``broadcast`` and ``cast_from`` once ran a nested ``distance_to`` next to
-their own share, and ``collect_with`` a nested ``find_parent``.  The
-reference blocks below are those nested forms, kept verbatim.  A neighbor's
-nested entry and its outer entry always come from the same export, so the
-potential each one-share block relaxes inside its update is the one the
-nested block would have shared: every sweep must give the same results.
+One share per block: ``broadcast`` and ``cast_from`` once ran a nested
+``distance_to`` next to their own share, and ``collect_with`` a nested
+``find_parent``.  The reference blocks below are those nested forms, kept
+verbatim.  A neighbor's nested entry and its outer entry always come from the
+same export, so the potential each one-share block relaxes inside its update
+is the one the nested block would have shared: every sweep must give the same
+results.
+
+One pass per field: ``distance_to`` once relaxed through composed fields
+(``exclude_self``, then ``zip_with`` the metric, then ``min``), and the metric
+builders went through ``map_values`` and the public constructor.  Their
+references are those forms, kept verbatim; the one-pass forms must give the
+same floats, bit for bit.
 """
 
+import math
+from operator import add
 from typing import Any, Callable
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldcast import aggregate, share
+from fieldcast import aggregate, neighbors, share
 from fieldcast.fields import NeighborhoodField
 from fieldcast.stdlib import (
     broadcast,
@@ -22,8 +32,11 @@ from fieldcast.stdlib import (
     find_parent,
     hop_distances,
     local_id,
+    local_position,
     neighbors_distances,
 )
+from fieldcast.stdlib import spreading
+from fieldcast.stdlib._util import check_metric
 from netharness import SweepNetwork, scripted
 
 INF = float("inf")
@@ -164,3 +177,130 @@ def test_one_share_blocks_match_their_nested_forms_every_sweep(run):
             inputs.update({i: (i in sources[1], metric[i]) for i in nodes})
         only = nodes - {suppressed} if sweep in silent else None
         assert library.sweep(program, only) == reference.sweep(reference_program, only), sweep
+
+
+# -- one pass per field ---------------------------------------------------------
+
+
+def reference_relax(estimates: NeighborhoodField, metric: NeighborhoodField) -> float:
+    return min(estimates.exclude_self().zip_with(metric, add).values(), default=INF)
+
+
+@aggregate
+def reference_distance_to(source: bool, metric: NeighborhoodField) -> float:
+    check_metric(metric)
+
+    def relax(estimates: NeighborhoodField) -> float:
+        if source:
+            return 0.0
+        return reference_relax(estimates, metric)
+
+    return share(INF, relax)
+
+
+@aggregate
+def reference_neighbors_distances() -> NeighborhoodField:
+    own = local_position()
+    positions = neighbors(own)
+    ox, oy = own
+    return positions.map_values(lambda p: math.hypot(p[0] - ox, p[1] - oy))
+
+
+@aggregate
+def reference_hop_distances() -> NeighborhoodField:
+    present = neighbors(True)
+    me = local_id()
+    return NeighborhoodField(me, {j: 0.0 if j == me else 1.0 for j in present.ids()})
+
+
+def gradient_under_test(gradient):
+    def block(source: bool, hops: bool) -> float:
+        return gradient(source, hop_distances() if hops else neighbors_distances())
+
+    return block
+
+
+def metrics_under_test(_source: bool, _hops: bool) -> tuple:
+    """Both metric builders next to their references, as (type, owner, repr) each."""
+    built = (
+        neighbors_distances(),
+        reference_neighbors_distances(),
+        hop_distances(),
+        reference_hop_distances(),
+    )
+    return tuple((type(field), field.owner, repr(field)) for field in built)
+
+
+@settings(max_examples=200)
+@given(scripted_runs())
+def test_one_pass_distance_to_matches_the_composed_relax_every_sweep(run):
+    topology, positions, metric, sources, switch, suppressed, silent = run
+    nodes = set(topology)
+    inputs = {i: (i in sources[0], metric[i]) for i in nodes}
+    library = SweepNetwork(topology, positions=positions)
+    reference = SweepNetwork(topology, positions=positions)
+    program = scripted(gradient_under_test(distance_to), inputs)
+    reference_program = scripted(gradient_under_test(reference_distance_to), inputs)
+    for sweep in range(SWEEPS):
+        if sweep == switch:
+            inputs.update({i: (i in sources[1], metric[i]) for i in nodes})
+        only = nodes - {suppressed} if sweep in silent else None
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(library.sweep(program, only)) == repr(
+            reference.sweep(reference_program, only)
+        ), sweep
+
+
+coordinates = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@settings(max_examples=100)
+@given(scripted_runs(), st.data())
+def test_one_pass_metric_builders_match_their_composed_forms_every_sweep(run, data):
+    topology, _, metric, _, _, suppressed, silent = run
+    nodes = set(topology)
+    positions = {i: (data.draw(coordinates), data.draw(coordinates)) for i in nodes}
+    network = SweepNetwork(topology, positions=positions)
+    program = scripted(metrics_under_test, {i: (False, metric[i]) for i in nodes})
+    for sweep in range(4):
+        only = nodes - {suppressed} if sweep in silent else None
+        for node, (distances, reference_distances, hops, reference_hops) in network.sweep(
+            program, only
+        ).items():
+            assert distances == reference_distances, (sweep, node)
+            assert hops == reference_hops, (sweep, node)
+
+
+def relax_of_distance_to(estimates: NeighborhoodField, metric: NeighborhoodField) -> float:
+    """``distance_to``'s relax on one estimates field, outside any round."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spreading, "share", lambda initial, update: update(estimates))
+        return distance_to.__wrapped__(False, metric)
+
+
+# Ties, both zeros, infinities; NaN only among the estimates, since a NaN edge
+# fails the metric check.
+edges = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, INF])
+estimates = st.one_of(edges, st.just(math.nan))
+ids = st.integers(min_value=0, max_value=6)
+
+
+@given(
+    owner=ids,
+    estimates=st.dictionaries(ids, estimates, max_size=7),
+    metric=st.dictionaries(ids, edges, max_size=7),
+)
+def test_one_pass_relax_takes_what_the_composed_relax_takes(owner, estimates, metric):
+    """Misaligned ids fall on either side, and the owner's entry may be missing."""
+    estimates, metric = NeighborhoodField(owner, estimates), NeighborhoodField(owner, metric)
+    assert repr(relax_of_distance_to(estimates, metric)) == repr(
+        reference_relax(estimates, metric)
+    )
+
+
+def test_the_relax_keeps_the_first_of_tied_minima_and_skips_the_owner():
+    estimates = NeighborhoodField(2, {0: 0.5, 1: -0.0, 2: -1.0, 3: 0.0, 5: 0.0})
+    metric = NeighborhoodField(2, {0: INF, 1: -0.0, 2: 0.0, 3: 0.0, 4: 0.0})
+    # ids 1 and 3 tie at -0.0 and 0.0; the owner's -1.0 and id 5 (no edge) take no part
+    assert repr(relax_of_distance_to(estimates, metric)) == "-0.0"
+    assert relax_of_distance_to(NeighborhoodField(2, {2: 0.0}), metric) == INF

@@ -8,16 +8,19 @@ from hypothesis import given, strategies as st
 
 from fieldcast import aggregate
 from fieldcast.errors import DomainError
-from fieldcast.fields import NeighborhoodField
+from fieldcast.fields import NeighborhoodField, from_ordered
 from fieldcast.scenarios import oracles
 from fieldcast.stdlib import (
     broadcast,
     cast_from,
     distance_to,
     hop_distances,
+    leader_election,
+    local_id,
     neighbors_distances,
     sense,
 )
+from fieldcast.stdlib._util import check_metric
 from fieldcast.stdlib.spreading import _relax
 from netharness import SweepNetwork, grid_topology, line_topology, scripted
 
@@ -125,6 +128,69 @@ def test_negative_metric_is_domain_error():
 
     with pytest.raises(DomainError):
         network.sweep(poisoned)
+
+
+def test_nan_metric_is_domain_error_naming_the_entry():
+    """NaN is not < 0, yet one NaN edge would spread NaN over the gradient."""
+    network = SweepNetwork({0: {1}, 1: {0, 2}, 2: {1}})
+
+    @aggregate
+    def poisoned():
+        me = local_id()
+        edges = dict(neighbors_distances().items())
+        if me in (0, 1):
+            edges[1 - me] = math.nan  # the edge 0-1
+        return distance_to(me == 0, NeighborhoodField(me, edges))
+
+    with pytest.raises(DomainError, match="device 1 is nan"):
+        network.sweep(poisoned)
+
+
+class ScanCountingDict(dict):
+    """A field's entries that count how often they are read whole."""
+
+    scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+def test_a_metric_handed_to_three_blocks_is_scanned_once():
+    n = 4
+    network = SweepNetwork(line_topology(n), sensors={i: {"source": i == 0} for i in range(n)})
+    metrics = []
+
+    @aggregate
+    def scr_like():
+        entries = ScanCountingDict(neighbors_distances()._values)
+        metrics.append(entries)
+        metric = from_ordered(local_id(), entries)
+        election = leader_election(10.0, metric)
+        potential = distance_to(sense("source"), metric)
+        return election.leader, potential, broadcast(sense("source"), local_id(), metric)
+
+    network.run(scr_like, 3)
+    assert len(metrics) == 3 * n
+    assert [entries.scans for entries in metrics] == [1] * (3 * n)
+
+
+def test_a_failed_metric_check_is_repeated_and_a_passed_one_is_not():
+    poisoned = from_ordered(0, {0: 0.0, 1: math.nan})
+    for _ in range(2):
+        with pytest.raises(DomainError, match="device 1 is nan"):
+            check_metric(poisoned)
+    entries = ScanCountingDict({0: 0.0, 1: 1.0})
+    metric = from_ordered(0, entries)
+    check_metric(metric)
+    check_metric(metric)
+    assert entries.scans == 1
+    check_metric(from_ordered(0, entries))  # a new field is checked anew
+    assert entries.scans == 2
 
 
 # -- broadcast ----------------------------------------------------------------
