@@ -155,12 +155,14 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
 def motion_actuator(speed: float, dt: float) -> Callable:
     """Actuator moving a node by speed * dt along a staged heading vector.
 
-    The staged value is any non-zero (x, y) direction; the displacement is
-    computed from its angle so its magnitude is exactly speed * dt.
+    The staged value is any finite non-zero (x, y) direction, else DomainError;
+    the displacement is computed from its angle, so its length is speed * dt.
     """
 
     def apply(environment: Environment, node: Node, heading) -> None:
         hx, hy = heading
+        if not (-math.inf < hx < math.inf and -math.inf < hy < math.inf) or hx == hy == 0:
+            raise DomainError(f"heading {heading!r} must be a finite non-zero vector")
         theta = math.atan2(hy, hx)
         x, y = node.position
         environment.move_node(

@@ -21,6 +21,7 @@ from fieldcast.stdlib import (
 )
 from fieldcast.simulator import (
     CsvTraceMonitor,
+    Environment,
     FrameMonitor,
     Monitor,
     Simulator,
@@ -112,14 +113,18 @@ def test_round_count_matches_horizon_over_period():
 # -- topologies ----------------------------------------------------------------
 
 
+def assert_node_exact(env, node, radius):
+    brute = {
+        other.id
+        for other in env.nodes.values()
+        if other.id != node.id and math.dist(node.position, other.position) <= radius
+    }
+    assert set(env.neighbor_ids(node)) == brute, node.id
+
+
 def assert_radius_topology_exact(env, radius):
     for node in env.node_list():
-        brute = {
-            other.id
-            for other in env.node_list()
-            if other.id != node.id and math.dist(node.position, other.position) <= radius
-        }
-        assert set(env.neighbor_ids(node)) == brute, node.id
+        assert_node_exact(env, node, radius)
 
 
 def test_radius_neighborhood_matches_brute_force():
@@ -146,6 +151,145 @@ def test_radius_neighborhood_matches_brute_force():
             env.set_neighborhood_function(radius_neighborhood(radius))
         assert_radius_topology_exact(env, radius)
     assert min(min(node.position) for node in env.node_list()) < -1.0
+
+
+def count_list_builds(monkeypatch):
+    """Count Verlet list builds: each query that misses its node's list scans the grid."""
+    builds = []
+    radius_grid = Environment._radius_grid
+
+    def counted(env, reach):
+        builds.append(reach)
+        return radius_grid(env, reach)
+
+    monkeypatch.setattr(Environment, "_radius_grid", counted)
+    return builds
+
+
+def test_verlet_lists_stay_exact_while_every_node_drifts(monkeypatch):
+    builds = count_list_builds(monkeypatch)
+    sim = Simulator(seed=4)
+    random_in_circle(sim, 60, 1.0)
+    env = sim.environment
+    env.set_neighborhood_function(radius_neighborhood(0.3))
+    assert_radius_topology_exact(env, 0.3)
+    rng = random.Random(5)
+    queries = 0
+    for _ in range(200):
+        for node in env.node_list():
+            angle = rng.uniform(-math.pi, math.pi)
+            x, y = node.position
+            env.move_node(node, (x + 0.01 * math.cos(angle), y + 0.01 * math.sin(angle)))
+            assert_node_exact(env, node, 0.3)
+            queries += 1
+        assert_radius_topology_exact(env, 0.3)
+        queries += 60
+    # A list lives about three sweeps (skin / 2 = 0.0375 of travel at 0.01 a
+    # step): reused by most queries, and cleared and rebuilt many times.
+    assert 60 * 40 < len(builds) < queries / 2
+
+
+def test_verlet_lists_keep_a_pair_that_closes_to_exactly_the_radius():
+    # A 3-4-5 triangle: at step m the pair is 5m/256 apart, exactly, and the
+    # radius is 80/256, so m = 16 sits on the boundary.  Both ends move, so
+    # the gap closes at twice each node's travel.  Started at m = 38, a rule
+    # that let each node travel a whole skin would build a's list at m = 22,
+    # just beyond reach, and keep it past m = 16.
+    sim = Simulator()
+    env = sim.environment
+    env.set_neighborhood_function(radius_neighborhood(80 / 256))
+    a = sim.add_node((-3 * 38 / 512, -4 * 38 / 512))
+    b = sim.add_node((3 * 38 / 512, 4 * 38 / 512))
+    heard = {}
+    for m in [*range(38, 7, -1), *range(8, 39)]:
+        env.move_node(a, (-3 * m / 512, -4 * m / 512))
+        env.move_node(b, (3 * m / 512, 4 * m / 512))
+        assert math.dist(a.position, b.position) == 5 * m / 256
+        assert_radius_topology_exact(env, 80 / 256)
+        heard[m] = env.neighbor_ids(a)
+    assert heard[16] == (1,) and heard[17] == ()
+
+
+def test_verlet_lists_take_in_a_node_added_mid_drift():
+    sim = Simulator(seed=6)
+    random_in_circle(sim, 30, 1.0)
+    env = sim.environment
+    env.set_neighborhood_function(radius_neighborhood(0.3))
+    rng = random.Random(7)
+    for sweep in range(20):
+        for node in env.node_list():
+            x, y = node.position
+            env.move_node(node, (x + rng.uniform(-0.01, 0.01), y + rng.uniform(-0.01, 0.01)))
+        if sweep == 10:
+            sim.add_node((0.05, -0.02))
+        assert_radius_topology_exact(env, 0.3)
+    assert len(env.nodes) == 31
+
+
+def test_verlet_lists_follow_a_radius_change_and_an_infinite_radius():
+    sim = Simulator(seed=8)
+    random_in_circle(sim, 30, 1.0)
+    env = sim.environment
+    rng = random.Random(9)
+    for radius in (0.3, 0.45, 0.2, math.inf):
+        env.set_neighborhood_function(radius_neighborhood(radius))
+        for _ in range(8):
+            for node in env.node_list():
+                x, y = node.position
+                env.move_node(node, (x + rng.uniform(-0.02, 0.02), y + rng.uniform(-0.02, 0.02)))
+            assert_radius_topology_exact(env, radius)
+    assert all(len(env.neighbor_ids(node)) == 29 for node in env.node_list())
+
+
+def test_one_teleport_clears_every_verlet_list(monkeypatch):
+    builds = count_list_builds(monkeypatch)
+    sim = Simulator(seed=10)
+    random_in_circle(sim, 40, 1.0)
+    env = sim.environment
+    env.set_neighborhood_function(radius_neighborhood(0.3))
+    assert_radius_topology_exact(env, 0.3)
+    assert len(builds) == 40
+    # A short step keeps every list ...
+    x, y = env.nodes[0].position
+    env.move_node(env.nodes[0], (x + 0.01, y))
+    assert_radius_topology_exact(env, 0.3)
+    assert len(builds) == 40
+    # ... a 1.2-unit jump clears them all, and every node rebuilds its own.
+    x, y = env.nodes[3].position
+    env.move_node(env.nodes[3], (x + 1.2, y - 0.2))
+    assert_radius_topology_exact(env, 0.3)
+    assert len(builds) == 80
+
+
+def test_non_finite_positions_are_refused_before_any_state_changes():
+    sim = Simulator(seed=12)
+    random_in_circle(sim, 20, 1.0)
+    env = sim.environment
+    env.set_neighborhood_function(radius_neighborhood(0.4))
+    assert_radius_topology_exact(env, 0.4)
+    node = env.nodes[5]
+    before = node.position
+    for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)):
+        with pytest.raises(DomainError):
+            env.move_node(node, bad)
+        assert node.position == before
+        with pytest.raises(DomainError):
+            sim.add_node(bad)
+        assert len(env.nodes) == 20
+    assert_radius_topology_exact(env, 0.4)
+    # The refused moves left no travel or grid entry behind.
+    env.move_node(node, (before[0] + 0.3, before[1]))
+    assert_radius_topology_exact(env, 0.4)
+    assert sim.add_node((0.0, 0.0)).id == 20
+
+
+def test_topology_arguments_are_checked_at_construction():
+    for radius in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            radius_neighborhood(radius)
+    for k in (-1, 2.5, "3"):
+        with pytest.raises(DomainError):
+            k_nearest_neighbors(k)
 
 
 def test_radius_neighborhood_on_lattice_excludes_diagonals():
@@ -454,6 +598,18 @@ def test_displacement_magnitude_matches_speed_times_dt():
     sim.run(2.0)
     for before, after in zip(positions, positions[1:]):
         assert math.dist(before, after) == pytest.approx(0.005, abs=1e-12)
+
+
+def test_motion_actuator_refuses_a_zero_or_non_finite_heading():
+    sim = Simulator()
+    node = sim.add_node((0.5, 0.5))
+    move = motion_actuator(1.0, 0.1)
+    for heading in ((0.0, 0.0), (-0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0), (1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            move(sim.environment, node, heading)
+        assert node.position == (0.5, 0.5)
+    move(sim.environment, node, (0.0, -2.0))
+    assert node.position == pytest.approx((0.5, 0.4), abs=1e-15)
 
 
 def test_unregistered_actuation_is_ignored():
