@@ -24,18 +24,20 @@ deeper than `MAX_DEPTH` tokens, so no longer path exists in a round, on the
 wire or in the trie.  `intern_path` is the one conversion from a token
 sequence to its node.
 
-Lifecycle: ``setup(context, inbound, state)`` -> run the program ->
-``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state to
-pass to the next ``setup``.  Alignment violations (reusing a path, unbalanced
-enter/exit, such as a scope left open inside an operator body) raise
-`AlignmentError` and abort the round; callers keep the node's previous state
-and export in that case.
+Lifecycle: ``setup(context, inbound, state, previous)`` -> run the program
+-> ``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state
+to pass to the next ``setup``.  ``inbound`` holds the neighbours'
+``(sender id, export entries)`` pairs, the form `_gather` reads, and
+``previous`` the device's own last export.  Alignment violations (reusing a
+path, unbalanced enter/exit, such as a scope left open inside an operator
+body) raise `AlignmentError` and abort the round; callers keep the node's
+previous state and export in that case.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .errors import AlignmentError, EncodingError, UnknownTemplateError, UsageError, format_path
 from .fields import NeighborhoodField, from_ordered
@@ -312,27 +314,30 @@ class Engine:
     def setup(
         self,
         context: NodeContext,
-        inbound: Mapping[int, Export] | None = None,
+        inbound: Iterable[tuple[int, dict[PathNode, Any]]] = (),
         state: dict[PathNode, Any] | None = None,
+        previous: Export | None = None,
     ) -> None:
-        """Begin a round on the inbound exports and the slots the last ``cooldown`` returned."""
+        """Begin a round.
+
+        ``inbound`` holds one ``(sender id, export entries)`` pair per neighbour
+        heard, in any order, never the own id; it is copied, not kept.
+        ``state`` is what the last ``cooldown`` returned, and ``previous`` the
+        device's own previous export (None if there is none), which only
+        ``receive`` reads.
+        """
         if self.context is not None:
             raise UsageError("setup called while a round is in progress")
         self._prev_slots = state if state is not None else {}
+        self._own_previous = {} if previous is None else previous.entries
         # (sender id, export entries) in ascending id order.  The own id sits
         # at its place with the placeholder `_own`, which `_gather` fills with
-        # the own entry of the field it builds; the own previous export is
-        # kept apart for `receive`.
-        inbound = inbound or {}
-        own_id = context.device_id
-        previous = inbound.get(own_id)
-        self._own_previous = {} if previous is None else previous.entries
+        # the own entry of the field it builds.
         self._own: dict = {}
-        self._inbound = [
-            (sender, export.entries) for sender, export in inbound.items() if sender != own_id
-        ]
-        self._inbound.append((own_id, self._own))
-        self._inbound.sort()  # ids are distinct, so no two entry dicts are compared
+        gathered = list(inbound)
+        gathered.append((context.device_id, self._own))
+        gathered.sort()  # ids are distinct, so no two entry dicts are compared
+        self._inbound = gathered
         self._node = ROOT
         # the nodes entered this round: a node is entered at most once per
         # round and occurrences are taken in order, so a token's occurrence
@@ -347,7 +352,8 @@ class Engine:
 
     def cooldown(self) -> tuple[dict[PathNode, Any], Export]:
         """End the round: return the slots visited this round and the outbound export."""
-        self._require_round()
+        if self.context is None:
+            raise UsageError(NO_ROUND)
         if self._node is not ROOT:
             raise AlignmentError(self._node.tokens, "round ended with unbalanced enter/exit")
         self.context = None
@@ -356,10 +362,6 @@ class Engine:
     def abort(self) -> None:
         """Discard the round in progress (after an alignment error)."""
         self.context = None
-
-    def _require_round(self) -> None:
-        if self.context is None:
-            raise UsageError(NO_ROUND)
 
     # -- alignment ----------------------------------------------------------
 
@@ -419,14 +421,16 @@ class Engine:
 
     def set_slot(self, node: PathNode, value: Any) -> None:
         """Stage ``value`` for the next round; last write wins."""
-        self._require_round()
+        if self.context is None:
+            raise UsageError(NO_ROUND)
         if node not in self._slot_current:
             raise UsageError("set_slot on a slot not claimed this round (stale handle?)")
         self._slots[node] = value
 
     def slot_value(self, node: PathNode) -> Any:
         """The slot's round-start value (staged writes do not show here)."""
-        self._require_round()
+        if self.context is None:
+            raise UsageError(NO_ROUND)
         if node not in self._slot_current:
             raise UsageError("slot_value on a slot not claimed this round (stale handle?)")
         return self._slot_current[node]
@@ -482,5 +486,6 @@ class Engine:
     # -- actuation ----------------------------------------------------------
 
     def stage_actuation(self, name: str, value: Any) -> None:
-        self._require_round()
+        if self.context is None:
+            raise UsageError(NO_ROUND)
         self.staged_actuations[name] = value

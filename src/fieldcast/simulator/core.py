@@ -58,13 +58,15 @@ class Simulator:
     # -- scheduling ----------------------------------------------------------
 
     def schedule_event(self, time: float, fn: Callable, *args: Any) -> None:
-        if time < self.time:
-            raise DomainError(f"cannot schedule into the past ({time} < {self.time})")
+        if not time >= self.time:  # also refuses NaN, which would break the heap order
+            raise DomainError(f"cannot schedule at t={time} (now t={self.time})")
         heapq.heappush(self._queue, (time, self._sequence, fn, args))
         self._sequence += 1
 
     def run(self, until: float) -> None:
         """Pop events in (time, sequence) order until none remain at or before ``until``."""
+        if math.isnan(until):
+            raise DomainError("cannot run until t=nan")
         for monitor in self.monitors:
             monitor.on_start(self)
         queue = self._queue
@@ -99,37 +101,44 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
 
     Gathers inbound messages (each current neighbor's latest export published
     strictly before now, plus the node's own previous export), runs the
-    program through a fresh engine, publishes the new state and export, and
-    applies staged actuations.  Under ``count_wire_bytes`` it also encodes the
-    export under the node's template policy (`Node.encode_export`) and counts
-    the bytes, the export and whether it went inline.  An alignment error is
-    logged and skips this round's updates; the node keeps its previous state
-    and export and still reschedules.  Any other exception from the round (the program or the wire
-    count) is logged with the node and time, then propagates and ends the run.
+    program through a fresh engine, applies staged actuations, then publishes
+    the new state and export.  Under ``count_wire_bytes`` it also encodes the
+    export under the node's template policy (`Node.encode_export`), before the
+    actuations, and counts the bytes, the export and whether it went inline.
+    An alignment error is logged and skips this round's updates; the node
+    keeps its previous state and export and still reschedules.  Any other
+    exception from the round (the program, the wire count or an actuator) is
+    logged with the node and time, then propagates and ends the run with the
+    round neither committed nor counted.  A ``dt`` that is not finite and
+    positive raises `DomainError` before the round runs.
     """
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"node {node.id}: round period dt={dt!r} must be finite and > 0")
     env = simulator.environment
     now = simulator.time
     if not node.suppressed:
         nodes = env.nodes
-        inbound = {}
+        inbound = []
         for neighbor_id in env.neighbor_ids(node):
             export = nodes[neighbor_id].export_before(now)
             if export is not None:
-                inbound[neighbor_id] = export
-        export = node.export_before(now)
-        if export is not None:
-            inbound[node.id] = export
+                inbound.append((neighbor_id, export.entries))
         context = NodeContext(node.id, node.position, now, node.data, node.rng)
         engine = Engine()
         try:
             token = engine_var.set(engine)
             try:
-                engine.setup(context, inbound, node.state)
+                engine.setup(context, inbound, node.state, node.export_before(now))
                 result = program()
                 new_state, export = engine.cooldown()
             finally:
                 engine_var.reset(token)
             wire = node.encode_export(export) if simulator.count_wire_bytes else None
+            if engine.staged_actuations:
+                for name, value in engine.staged_actuations.items():
+                    actuator = simulator.actuators.get(name)
+                    if actuator is not None:
+                        actuator(env, node, value)
         except AlignmentError as error:
             log.warning("node %s round at t=%.6f aborted: %s", node.id, now, error)
             engine.abort()
@@ -144,10 +153,6 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
                 simulator.wire_bytes += len(wire[0])
                 simulator.wire_exports += 1
                 simulator.inline_exports += wire[1]
-            for name, value in engine.staged_actuations.items():
-                actuator = simulator.actuators.get(name)
-                if actuator is not None:
-                    actuator(env, node, value)
             simulator._notify_round(node)
     simulator.schedule_event(now + dt, aggregate_program_runner, simulator, dt, node, program)
 

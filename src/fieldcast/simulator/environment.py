@@ -1,8 +1,8 @@
 """The simulated world: nodes plus a pluggable neighborhood topology.
 
 A neighborhood function maps (environment, node) to the ids a node can hear;
-it never includes the node's own id (self-inclusion in fields is the
-engine's business).  Each node's neighbor set is memoized until the next
+``neighbor_ids`` drops the node's own id from it (self-inclusion in fields is
+the engine's business).  Each node's neighbor set is memoized until the next
 move, so a query made after a move always sees it and mobile deployments
 reshape the topology naturally.  Positions must be finite.  ``radius_neighborhood``
 filters per-node Verlet lists (Verlet, 1967) of the nodes within ``radius + skin``
@@ -87,12 +87,14 @@ class Environment:
     # -- topology ----------------------------------------------------------
 
     def neighbor_ids(self, node: Node) -> tuple[int, ...]:
-        """Sorted ids of the devices ``node`` currently hears."""
+        """Sorted ids of the other devices ``node`` currently hears."""
         cached = self._neighbor_memo.get(node.id)
         if cached is not None:
             return cached
-        ids = tuple(sorted(self.neighborhood_fn(self, node)))
-        self._neighbor_memo[node.id] = ids
+        ids = sorted(self.neighborhood_fn(self, node))
+        if node.id in ids:  # the engine adds the node itself; a second entry would clash
+            ids.remove(node.id)
+        ids = self._neighbor_memo[node.id] = tuple(ids)
         return ids
 
     def _radius_grid(self, reach: float) -> dict:

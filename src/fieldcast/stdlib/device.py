@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..calculus import NO_ENGINE, current_engine, engine_var
+from ..calculus import NO_ENGINE, engine_var
 from ..engine import NO_ROUND, NodeContext
 from ..errors import MissingSensorError, UsageError
 
@@ -45,5 +45,8 @@ def context_rng():
 
 
 def store_actuation(name: str, value: Any) -> None:
-    """Stage a named actuation; the runner applies it after the round."""
-    current_engine().stage_actuation(name, value)
+    """Stage a named actuation; the runner applies it after the program."""
+    engine = engine_var.get(None)
+    if engine is None:
+        raise UsageError(NO_ENGINE)
+    engine.stage_actuation(name, value)

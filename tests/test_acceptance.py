@@ -346,12 +346,12 @@ def interpret(ops, slots_seen):
             aggregate_call(f"fn{op[1]}", lambda: interpret(op[2], slots_seen))
 
 
-def run_program(ops, state=None, inbound=None):
+def run_program(ops, state=None, previous=None):
     engine = RecordingEngine()
     context = NodeContext(0, (0.0, 0.0), 0.0, {})
     slots_seen: list = []
     with activate(engine):
-        engine.setup(context, inbound or {}, state)
+        engine.setup(context, (), state, previous)
         interpret(ops, slots_seen)
         path_after = engine.path
         state, export = engine.cooldown()
@@ -376,7 +376,7 @@ def test_criterion_9a_path_balance(ops):
 @given(program_strategy, program_strategy)
 def test_criterion_9b_state_garbage_collection(first_ops, second_ops):
     outcome = run_program(first_ops)
-    second = run_program(second_ops, state=outcome["state"], inbound={0: outcome["export"]})
+    second = run_program(second_ops, state=outcome["state"], previous=outcome["export"])
     assert set(second["state"]) == set(second["slot_log"])
 
 
@@ -388,7 +388,7 @@ def test_criterion_9c_last_write_wins(ops):
         path: (writes[-1] if writes else observed)
         for path, observed, _, writes in outcome["slots_seen"]
     }
-    second = run_program(ops, state=outcome["state"], inbound={0: outcome["export"]})
+    second = run_program(ops, state=outcome["state"], previous=outcome["export"])
     for path, observed, _, _ in second["slots_seen"]:
         assert observed == expectations[path]
 
@@ -398,7 +398,7 @@ def test_criterion_9c_last_write_wins(ops):
 def test_criterion_9d_export_paths_equal_sent_paths(ops):
     outcome = run_program(ops)
     assert set(outcome["export"].paths()) == set(outcome["send_log"])
-    second = run_program(ops, state=outcome["state"], inbound={0: outcome["export"]})
+    second = run_program(ops, state=outcome["state"], previous=outcome["export"])
     assert set(second["export"].paths()) == set(second["send_log"])
 
 

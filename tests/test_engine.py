@@ -28,8 +28,14 @@ def ctx(device_id=0, time=0.0, sensors=None):
 
 
 def fresh(inbound=None, state=None, device_id=0):
+    """An engine in a round of ``device_id`` hearing ``inbound``, {sender id: Export}.
+
+    The own id's export, if any, is the round's own previous export.
+    """
+    inbound = inbound or {}
+    pairs = [(sender, export.entries) for sender, export in inbound.items() if sender != device_id]
     engine = Engine()
-    engine.setup(ctx(device_id), inbound or {}, state)
+    engine.setup(ctx(device_id), pairs, state, inbound.get(device_id))
     return engine
 
 
@@ -312,7 +318,7 @@ def test_receive_includes_own_previous_value():
     engine.send("first")
     _, export = engine.cooldown()
 
-    engine.setup(ctx(3), {3: export}, None)
+    engine.setup(ctx(3), (), None, export)
     field = engine.receive()
     assert field.items() == [(3, "first")]
 
@@ -360,6 +366,67 @@ def test_the_gathered_fields_do_not_depend_on_where_the_own_id_sits_in_the_inbou
     assert (received, gathered) == fields(own_last)
     assert received.items() == [(1, "one"), (2, "own"), (3, "three")]
     assert gathered.items() == [(1, "one"), (2, "sent"), (3, "three")]
+
+
+def test_setup_gathers_pairs_given_in_any_order_in_ascending_id_order():
+    node = intern_path(path_of(("fn", "f", 0)))
+    pairs = [(9, {node: "nine"}), (2, {node: "two"}), (7, {node: "seven"}), (0, {})]
+    engine = Engine()
+    engine.setup(ctx(4), pairs, None)
+    engine.enter(KIND_FUNCTION, "f")
+    assert engine.receive("own").items() == [(2, "two"), (4, "own"), (7, "seven"), (9, "nine")]
+    assert engine.neighbor_values().ids() == [2, 7, 9]
+
+
+def test_receive_takes_the_own_entry_only_from_the_previous_export():
+    node = intern_path(path_of(("fn", "f", 0)))
+    previous = Export({node: "own, last round"})
+
+    def received(pairs, previous):
+        engine = Engine()
+        engine.setup(ctx(4), pairs, None, previous)
+        engine.enter(KIND_FUNCTION, "f")
+        field = engine.receive("initial")
+        gathered = engine.neighbor_values()  # nothing sent: no own entry
+        return field.items(), gathered.items()
+
+    assert received([(1, {node: "one"})], previous) == (
+        [(1, "one"), (4, "own, last round")],
+        [(1, "one")],
+    )
+    assert received([(1, {node: "one"})], None) == ([(1, "one"), (4, "initial")], [(1, "one")])
+    # an own previous export without this path falls back to initial as well
+    elsewhere = Export({intern_path(path_of(("fn", "g", 0))): "other path"})
+    assert received([], elsewhere) == ([(4, "initial")], [])
+
+
+def test_setup_leaves_the_callers_pairs_as_they_were():
+    node = intern_path(path_of(("fn", "f", 0)))
+    entries = {node: "one"}
+    pairs = [(3, {node: "three"}), (1, entries)]
+    copy = list(pairs)
+    engine = Engine()
+    engine.setup(ctx(2), pairs, None)
+    engine.enter(KIND_FUNCTION, "f")
+    engine.send("own")
+    assert engine.neighbor_values().items() == [(1, "one"), (2, "own"), (3, "three")]
+    engine.exit()
+    engine.cooldown()
+    assert pairs == copy and pairs[1][1] is entries and entries == {node: "one"}
+
+    engine.setup(ctx(2), iter(pairs), None)  # any iterable will do
+    engine.enter(KIND_FUNCTION, "f")
+    assert engine.receive().ids() == [1, 3]
+
+
+def test_setup_during_a_round_is_usage_error_and_keeps_the_round():
+    node = intern_path(path_of(("fn", "f", 0)))
+    engine = Engine()
+    engine.setup(ctx(0), [(1, {node: "one"})], None)
+    with pytest.raises(UsageError):
+        engine.setup(ctx(5), [(2, {node: "two"})], None, Export({node: "own"}))
+    engine.enter(KIND_FUNCTION, "f")
+    assert engine.receive("initial").items() == [(0, "initial"), (1, "one")]
 
 
 def gathered_fields(inbound, device_id):
@@ -418,7 +485,7 @@ def test_identical_inputs_identical_outputs():
 
         engine = Engine()
         state = {ROOT: 7}
-        engine.setup(ctx(1, time=3.0), {2: export}, state)
+        engine.setup(ctx(1, time=3.0), [(2, export.entries)], state)
         value, key = engine.write_slot(0)
         engine.set_slot(key, value + 1)
         engine.enter(KIND_FUNCTION, "f")

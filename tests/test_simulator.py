@@ -38,6 +38,8 @@ from fieldcast.simulator import (
     render_svg_frame,
 )
 
+from netharness import SweepNetwork, line_topology
+
 
 @aggregate
 def constant_program():
@@ -90,6 +92,20 @@ def test_scheduling_into_the_past_is_domain_error():
     sim.run(5)
     with pytest.raises(DomainError):
         sim.schedule_event(2.0, lambda: None)
+
+
+def test_a_nan_event_time_or_horizon_is_refused():
+    sim = Simulator()
+    fired = []
+    sim.schedule_event(0.5, fired.append, 0.5)
+    with pytest.raises(DomainError, match="nan"):
+        sim.schedule_event(math.nan, fired.append, "nan")
+    sim.schedule_event(1.0, fired.append, 1.0)
+    with pytest.raises(DomainError, match="nan"):
+        sim.run(math.nan)
+    assert sim.time == 0.0 and fired == []
+    sim.run(2.0)
+    assert fired == [0.5, 1.0] and not sim._queue
 
 
 def test_events_beyond_horizon_stay_queued():
@@ -290,6 +306,26 @@ def test_topology_arguments_are_checked_at_construction():
     for k in (-1, 2.5, "3"):
         with pytest.raises(DomainError):
             k_nearest_neighbors(k)
+
+
+def test_a_topology_with_self_loops_runs_as_one_without_them():
+    @aggregate
+    def gradient_and_ids():
+        distance = distance_to(local_id() == 0, neighbors_distances())
+        return distance, neighbors(local_id()).ids()
+
+    positions = {i: (float(i), 0.0) for i in range(4)}
+    plain = SweepNetwork(line_topology(4), positions=positions)
+    looped = SweepNetwork(
+        {i: peers | {i} for i, peers in line_topology(4).items()}, positions=positions
+    )
+    for _ in range(5):
+        assert looped.sweep(gradient_and_ids) == plain.sweep(gradient_and_ids)
+    environment = looped.simulator.environment
+    assert [environment.neighbor_ids(node) for node in environment.node_list()] == [
+        (1,), (0, 2), (1, 3), (2,)
+    ]
+    assert plain.sweep(gradient_and_ids)[3] == (3.0, [2, 3])
 
 
 def test_radius_neighborhood_on_lattice_excludes_diagonals():
@@ -527,6 +563,54 @@ def test_an_export_with_no_wire_form_is_logged_before_the_round_is_committed(cap
     first = sim.environment.nodes[0]
     assert first.state is None and first.last_export is None and first.result is None
     assert sim.rounds_executed == 0 and sim.wire_bytes == 0
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_a_round_period_that_is_not_finite_and_positive_is_refused_before_the_round(dt):
+    sim = Simulator()
+    node = sim.add_node((0.0, 0.0))
+    schedule_everywhere(sim, dt, constant_program)
+    with pytest.raises(DomainError, match=rf"node 0: round period dt={dt!r} must be finite"):
+        sim.run(1.0)
+    assert node.state is None and node.last_export is None and node.result is None
+    assert sim.rounds_executed == 0 and not sim._queue
+
+
+def test_a_failing_actuator_is_logged_and_its_round_is_not_committed(caplog):
+    @aggregate
+    def stands_still():
+        store_actuation("heading", (0.0, 0.0))
+        return 42
+
+    sim = Simulator()
+    node = sim.add_node((0.0, 0.0))
+    sim.register_actuator("heading", motion_actuator(1.0, 0.1))
+    schedule_everywhere(sim, 0.1, stands_still)
+    with caplog.at_level(logging.ERROR, logger="fieldcast.simulator.core"):
+        with pytest.raises(DomainError, match="must be a finite non-zero vector"):
+            sim.run(1.0)
+    errors = [record.getMessage() for record in caplog.records]
+    assert len(errors) == 1 and "node 0 round at t=0.000000 crashed" in errors[0]
+    assert node.state is None and node.last_export is None and node.result is None
+    assert node.position == (0.0, 0.0) and sim.rounds_executed == 0
+
+
+def test_an_export_with_no_wire_form_leaves_the_node_where_it_was(caplog):
+    @aggregate
+    def marches_and_shares_an_object():
+        store_actuation("heading", (1.0, 0.0))
+        return neighbors(object()).ids()
+
+    sim = Simulator()
+    sim.count_wire_bytes = True
+    node = sim.add_node((0.0, 0.0))
+    sim.register_actuator("heading", motion_actuator(1.0, 0.1))
+    schedule_everywhere(sim, 0.1, marches_and_shares_an_object)
+    with caplog.at_level(logging.ERROR, logger="fieldcast.simulator.core"):
+        with pytest.raises(EncodingError):
+            sim.run(1.0)
+    assert node.position == (0.0, 0.0) and node.last_export is None
+    assert sim.rounds_executed == 0
 
 
 def test_suppressed_node_skips_rounds():
