@@ -14,6 +14,7 @@ import math
 from pathlib import Path
 from typing import Any
 
+from ..errors import DomainError
 from .core import Simulator
 from .node import Node
 
@@ -129,9 +130,12 @@ class FrameMonitor(Monitor):
 
     Each frame draws the current communication edges and one circle per node
     colored from the traced value; files are named ``frame_<index>.svg``.
+    An ``interval`` that is not finite and positive raises `DomainError`.
     """
 
     def __init__(self, directory, interval: float, value_key: str | None = None):
+        if not 0.0 < interval < math.inf:
+            raise DomainError(f"frame interval {interval!r} must be finite and > 0")
         self.directory = Path(directory)
         self.interval = interval
         self.value_key = value_key

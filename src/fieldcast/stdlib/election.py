@@ -36,7 +36,7 @@ class ElectionResult(NamedTuple):
 @aggregate
 def leader_election(radius: float, metric: NeighborhoodField) -> ElectionResult:
     """Run one election round; returns the full winning candidate."""
-    if radius <= 0:
+    if not radius > 0:
         raise DomainError(f"election radius must be positive, got {radius}")
     check_metric(metric)
 

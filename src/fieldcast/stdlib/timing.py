@@ -32,7 +32,7 @@ def exponential_decay(initial: float, rate: float) -> float:
 @aggregate
 def countdown(duration: float) -> float:
     """Seconds remaining until ``duration`` has elapsed since the first round."""
-    if duration < 0:
-        raise DomainError("countdown duration must be non-negative")
+    if not duration >= 0:
+        raise DomainError(f"countdown duration must be non-negative, got {duration}")
     _, started = remember(current_time())
     return max(0.0, duration - (current_time() - started))

@@ -104,9 +104,11 @@ def test_equal_keys_elect_the_smallest_id():
 
 
 def test_radius_domain_error():
-    network = SweepNetwork({0: set()})
-    with pytest.raises(DomainError):
-        network.sweep(election_program(0.0))
+    # A NaN radius must fail too: no candidacy would ever expire.
+    for radius in (0.0, math.nan):
+        network = SweepNetwork({0: set()})
+        with pytest.raises(DomainError):
+            network.sweep(election_program(radius))
 
 
 def test_elect_leaders_returns_bool():

@@ -27,9 +27,9 @@ pytestmark = pytest.mark.skipif(
 
 # Measured on CPython 3.11.7, seed 7, 1 s.  scr's first second is the
 # election's transient; the steady state makes fewer calls per round.
-SCR_MEASURED, SCR_CEILING = 273.8, 282.0
-CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 238.9, 246.0
-FLOCKING_MEASURED, FLOCKING_CEILING = 139.4, 143.6
+SCR_MEASURED, SCR_CEILING = 271.6, 279.8
+CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 237.8, 245.0
+FLOCKING_MEASURED, FLOCKING_CEILING = 130.5, 134.4
 
 
 def calls_per_node_round(monkeypatch, scenario: str, node_rounds=4400, **overrides) -> float:

@@ -1,5 +1,7 @@
 """Device access, temporal primitives, and neighbor metrics."""
 
+import math
+
 import pytest
 
 from fieldcast import Engine, NodeContext, activate, aggregate
@@ -92,6 +94,13 @@ def test_countdown_reaches_zero_and_stays():
     program = aggregate(lambda: countdown(2.5))
     values = [network.sweep(program)[0] for _ in range(5)]
     assert values == [2.5, 1.5, 0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("duration", [-1.0, math.nan])
+def test_countdown_duration_domain(duration):
+    network = SweepNetwork({0: set()})
+    with pytest.raises(DomainError):
+        network.sweep(aggregate(lambda: countdown(duration)))
 
 
 def test_neighbors_distances_euclidean():
