@@ -5,11 +5,11 @@ A neighborhood function maps (environment, node) to the ids a node can hear;
 the engine's business).  Each node's neighbor set is memoized until the next
 move, so a query made after a move always sees it and mobile deployments
 reshape the topology naturally.  Positions must be finite.  ``radius_neighborhood``
-filters Verlet lists (Verlet, 1967): every node's list of the nodes within
-``radius + skin`` (``skin = radius / 4``), all built at once from one pass over
-a grid of that cell side.  A node travelling ``skin / 2`` since the build clears
-every list, so each holds every node within ``radius`` (triangle inequality); the
-round that finds them cleared rebuilds every list.
+filters per-node Verlet lists (Verlet, 1967) of the nodes within ``radius + skin``
+(``skin = radius / 4``) at the list's build, from a grid of that cell side kept
+current move by move.  A node travelling ``skin / 2`` since the last clear clears
+every list, so each holds every node within ``radius`` (triangle inequality); a
+node rebuilds only its own list, at its next query, from 1.56x a radius grid's candidates.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ class Environment:
         self.nodes: dict[int, Node] = {}
         self.neighborhood_fn: NeighborhoodFn = full_neighborhood()
         self._neighbor_memo: dict[int, tuple[int, ...]] = {}
-        # Verlet lists, the reach they were built for (None: cleared), and each
-        # node's travel since the build.
-        self._verlet_reach: float | None = None
+        # Radius grid: cell side (None until first built), cell -> nodes, id -> cell.
+        self._grid_side: float | None = None
+        self._grid: dict[tuple[int, int], list[Node]] = {}
+        self._grid_cell: dict[int, tuple[int, int]] = {}
+        # Verlet lists and each node's travel since they were cleared; a new grid clears them.
         self._verlet: dict[int, list[Node]] = {}
         self._travel: dict[int, float] = {}
         self._next_id = 0
@@ -58,11 +60,20 @@ class Environment:
         node.position = position
         if self._neighbor_memo:
             self._neighbor_memo = {}
-        reach = self._verlet_reach
-        if reach is not None:
+        side = self._grid_side
+        if side is not None:
             travel = self._travel[node.id] = self._travel.get(node.id, 0.0) + step
-            if travel > reach * _CLEAR_SHARE:
-                self._verlet_reach = None
+            if travel > side * _CLEAR_SHARE:
+                self._verlet, self._travel = {}, {}
+            cell = _cell(position, side)
+            old = self._grid_cell[node.id]
+            if cell != old:
+                bucket = self._grid[old]
+                bucket.remove(node)
+                if not bucket:
+                    del self._grid[old]
+                self._grid.setdefault(cell, []).append(node)
+                self._grid_cell[node.id] = cell
 
     def set_neighborhood_function(self, fn: NeighborhoodFn) -> None:
         self.neighborhood_fn = fn
@@ -71,7 +82,7 @@ class Environment:
     def _invalidate(self) -> None:
         if self._neighbor_memo:
             self._neighbor_memo = {}
-        self._verlet_reach = None
+        self._grid_side = None
 
     # -- topology ----------------------------------------------------------
 
@@ -86,36 +97,37 @@ class Environment:
         ids = self._neighbor_memo[node.id] = tuple(ids)
         return ids
 
-    def _verlet_lists(self, reach: float) -> dict[int, list[Node]]:
-        """Each node id -> the other nodes within ``reach`` when the lists were built.
-
-        Rebuilds every list from one pass over a grid of cell side ``reach``
-        when they were cleared or built for another reach.
-        """
-        if self._verlet_reach == reach:
-            return self._verlet
-        grid: dict[tuple[int, int], list[Node]] = {}
-        for node in self.nodes.values():
-            grid.setdefault(_cell(node.position, reach), []).append(node)
+    def _build_verlet_list(self, node: Node, reach: float) -> list[Node]:
+        """Build and keep ``node``'s list: the other nodes within ``reach`` of it now."""
+        grid = self._radius_grid(reach)
+        cx, cy = _cell(node.position, reach)
+        x, y = node.position
         hypot = math.hypot
-        lists = {}
-        for (cx, cy), cell_nodes in grid.items():
-            nearby = [
-                other
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-                for other in grid.get((cx + dx, cy + dy), ())
-            ]
-            for node in cell_nodes:
-                x, y = node.position
-                lists[node.id] = [
-                    other
-                    for other in nearby
-                    if other is not node
-                    and hypot(other.position[0] - x, other.position[1] - y) <= reach
-                ]
-        self._verlet_reach, self._verlet, self._travel = reach, lists, {}
-        return lists
+        found = self._verlet[node.id] = [
+            other
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for other in grid.get((cx + dx, cy + dy), ())
+            if other is not node and hypot(other.position[0] - x, other.position[1] - y) <= reach
+        ]
+        return found
+
+    def _radius_grid(self, reach: float) -> dict:
+        """The nodes bucketed into cells of side ``reach``, with no Verlet lists.
+
+        Built when there is no grid or its side differs from ``reach``;
+        ``move_node`` keeps it current afterwards.
+        """
+        if self._grid_side == reach:
+            return self._grid
+        grid: dict[tuple[int, int], list[Node]] = {}
+        cells: dict[int, tuple[int, int]] = {}
+        for node in self.nodes.values():
+            cell = cells[node.id] = _cell(node.position, reach)
+            grid.setdefault(cell, []).append(node)
+        self._grid_side, self._grid, self._grid_cell = reach, grid, cells
+        self._verlet, self._travel = {}, {}
+        return grid
 
 
 def _finite(position) -> tuple:
@@ -140,13 +152,17 @@ def radius_neighborhood(radius: float) -> NeighborhoodFn:
     def fn(env: Environment, node: Node) -> list[int]:
         if radius == 0:
             return []
+        candidates = env._verlet.get(node.id)
+        if candidates is None or env._grid_side != reach:
+            candidates = env._build_verlet_list(node, reach)
         x, y = node.position
         hypot = math.hypot
-        return [
-            other.id
-            for other in env._verlet_lists(reach)[node.id]
-            if hypot(other.position[0] - x, other.position[1] - y) <= radius
-        ]
+        found = []
+        for other in candidates:
+            ox, oy = other.position
+            if hypot(ox - x, oy - y) <= radius:
+                found.append(other.id)
+        return found
 
     return fn
 

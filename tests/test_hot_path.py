@@ -9,7 +9,9 @@ plus about 3%; lower it when the hot path gets leaner.
 scr runs the deepest program (election, gradient, collection, broadcast);
 channel runs two gradients and, with every export encoded, the wire codec;
 flocking moves every device every round, so each round queries the radius
-topology afresh.
+topology afresh; at ten times its default speed every step is longer than the
+Verlet skin allows, so every move clears the lists and every query rebuilds
+its own.
 """
 
 import cProfile
@@ -27,9 +29,10 @@ pytestmark = pytest.mark.skipif(
 
 # Measured on CPython 3.11.7, seed 7, 1 s.  scr's first second is the
 # election's transient; the steady state makes fewer calls per round.
-SCR_MEASURED, SCR_CEILING = 271.6, 279.8
-CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 237.8, 245.0
-FLOCKING_MEASURED, FLOCKING_CEILING = 130.5, 134.4
+SCR_MEASURED, SCR_CEILING = 273.6, 279.8
+CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 238.8, 245.0
+FLOCKING_MEASURED, FLOCKING_CEILING = 140.3, 143.6
+FLOCKING_LONG_STEPS_MEASURED, FLOCKING_LONG_STEPS_CEILING = 184.7, 190.2
 
 
 def calls_per_node_round(monkeypatch, scenario: str, node_rounds=4400, **overrides) -> float:
@@ -79,4 +82,16 @@ def test_a_flocking_node_round_stays_under_its_call_ceiling(monkeypatch):
     assert per_round <= FLOCKING_CEILING, (
         f"{per_round:.1f} Python calls per flocking node round, ceiling {FLOCKING_CEILING}"
         f" (measured {FLOCKING_MEASURED} when it was set)"
+    )
+
+
+def test_a_flocking_node_round_with_steps_past_the_skin_stays_under_its_call_ceiling(
+    monkeypatch,
+):
+    # speed 0.5 moves a device 0.05 a round, past skin / 2 = 0.0375 at radius 0.3.
+    per_round = calls_per_node_round(monkeypatch, "flocking", node_rounds=8800, n=800, speed=0.5)
+    assert per_round <= FLOCKING_LONG_STEPS_CEILING, (
+        f"{per_round:.1f} Python calls per flocking node round with steps past the skin,"
+        f" ceiling {FLOCKING_LONG_STEPS_CEILING} (measured {FLOCKING_LONG_STEPS_MEASURED}"
+        " when it was set)"
     )

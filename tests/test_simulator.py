@@ -151,8 +151,8 @@ def test_radius_neighborhood_matches_brute_force():
     assert_radius_topology_exact(env, 0.3)
 
     # A seeded random walk: steps within a cell, across one border, and several
-    # cells at once, drifting through negative coordinates.  Each move keeps
-    # or clears the lists, so every query must still match brute force.
+    # cells at once, drifting through negative coordinates.  The grid is kept
+    # current move by move, so every query must still match brute force.
     rng = random.Random(11)
     radius = 0.3
     for step in range(240):
@@ -170,16 +170,15 @@ def test_radius_neighborhood_matches_brute_force():
 
 
 def count_list_builds(monkeypatch):
-    """Count Verlet list rebuilds: each call for a reach the lists were not built for."""
+    """Count Verlet list builds: each query that misses its node's list scans the grid."""
     builds = []
-    verlet_lists = Environment._verlet_lists
+    radius_grid = Environment._radius_grid
 
     def counted(env, reach):
-        if env._verlet_reach != reach:
-            builds.append(reach)
-        return verlet_lists(env, reach)
+        builds.append(reach)
+        return radius_grid(env, reach)
 
-    monkeypatch.setattr(Environment, "_verlet_lists", counted)
+    monkeypatch.setattr(Environment, "_radius_grid", counted)
     return builds
 
 
@@ -191,16 +190,19 @@ def test_verlet_lists_stay_exact_while_every_node_drifts(monkeypatch):
     env.set_neighborhood_function(radius_neighborhood(0.3))
     assert_radius_topology_exact(env, 0.3)
     rng = random.Random(5)
+    queries = 0
     for _ in range(200):
         for node in env.node_list():
             angle = rng.uniform(-math.pi, math.pi)
             x, y = node.position
             env.move_node(node, (x + 0.01 * math.cos(angle), y + 0.01 * math.sin(angle)))
             assert_node_exact(env, node, 0.3)
+            queries += 1
         assert_radius_topology_exact(env, 0.3)
-    # The lists live about three sweeps (skin / 2 = 0.0375 of travel at 0.01 a
+        queries += 60
+    # A list lives about three sweeps (skin / 2 = 0.0375 of travel at 0.01 a
     # step): reused by most queries, and cleared and rebuilt many times.
-    assert 1 / 4 < len(builds) / 200 < 1 / 2
+    assert 60 * 40 < len(builds) < queries / 2
 
 
 def test_verlet_lists_keep_a_pair_that_closes_to_exactly_the_radius():
@@ -262,17 +264,17 @@ def test_one_teleport_clears_every_verlet_list(monkeypatch):
     env = sim.environment
     env.set_neighborhood_function(radius_neighborhood(0.3))
     assert_radius_topology_exact(env, 0.3)
-    assert len(builds) == 1
+    assert len(builds) == 40
     # A short step keeps every list ...
     x, y = env.nodes[0].position
     env.move_node(env.nodes[0], (x + 0.01, y))
     assert_radius_topology_exact(env, 0.3)
-    assert len(builds) == 1
-    # ... a 1.2-unit jump clears them all, and one pass rebuilds every list.
+    assert len(builds) == 40
+    # ... a 1.2-unit jump clears them all, and every node rebuilds its own.
     x, y = env.nodes[3].position
     env.move_node(env.nodes[3], (x + 1.2, y - 0.2))
     assert_radius_topology_exact(env, 0.3)
-    assert len(builds) == 2
+    assert len(builds) == 80
 
 
 def test_non_finite_positions_are_refused_before_any_state_changes():
@@ -291,7 +293,7 @@ def test_non_finite_positions_are_refused_before_any_state_changes():
             sim.add_node(bad)
         assert len(env.nodes) == 20
     assert_radius_topology_exact(env, 0.4)
-    # The refused moves left no position or travel behind.
+    # The refused moves left no travel or grid entry behind.
     env.move_node(node, (before[0] + 0.3, before[1]))
     assert_radius_topology_exact(env, 0.4)
     assert sim.add_node((0.0, 0.0)).id == 20
