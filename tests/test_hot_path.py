@@ -9,8 +9,8 @@ plus about 3%; lower it when the hot path gets leaner.
 scr runs the deepest program (election, gradient, collection, broadcast);
 channel runs two gradients and, with every export encoded, the wire codec;
 flocking moves every device every round, so each round queries the radius
-topology afresh; at ten times its default speed every step is longer than the
-Verlet skin allows, so every move clears the lists and every query rebuilds
+topology afresh; at ten times its default speed every step is longer than
+half the Verlet skin, so every move clears the lists and every query rebuilds
 its own.
 """
 
