@@ -43,9 +43,9 @@ def collect_with(potential: float, local: Any, accumulate: Callable[[Any, Any], 
     neighbors that currently claim it as parent, in ascending id order.  On a
     static tree the source ends up aggregating its whole region.
     """
-    me = local_id()
 
     def update(links: NeighborhoodField) -> tuple:
+        me = links.owner
         best = None
         result = local
         for neighbor_id, entry in links.items():
@@ -62,16 +62,17 @@ def collect_with(potential: float, local: Any, accumulate: Callable[[Any, Any], 
     return share((INF, None, None), update)[2]
 
 
+# The specializations run collect_with's body in their own scope: one scope, the share under it.
 @aggregate
 def count_nodes(potential: float) -> int:
     """Number of devices in this node's sub-region of the potential."""
-    return collect_with(potential, 1, lambda a, b: a + b)
+    return collect_with.__wrapped__(potential, 1, lambda a, b: a + b)
 
 
 @aggregate
 def sum_values(potential: float, value: float) -> float:
     """Sum of ``value`` over this node's sub-region of the potential."""
-    return collect_with(potential, float(value), lambda a, b: a + b)
+    return collect_with.__wrapped__(potential, float(value), lambda a, b: a + b)
 
 
 @aggregate
@@ -82,5 +83,4 @@ def collect_or(potential: float, flag: bool) -> bool:
     down the potential: with the potential anchored at a target and the flag
     on a source, that is the shortest path between the two.
     """
-    # collect_with's body in this scope, so its one path stays share#0 under collect_or
     return collect_with.__wrapped__(potential, bool(flag), lambda a, b: a or b)

@@ -6,7 +6,7 @@ from math import hypot
 
 from ..calculus import aggregate, neighbors
 from ..fields import NeighborhoodField, from_ordered
-from .device import local_id, local_position
+from .device import local_position
 
 
 @aggregate
@@ -24,5 +24,5 @@ def neighbors_distances() -> NeighborhoodField:
 def hop_distances() -> NeighborhoodField:
     """Unit distance to every neighbor (self maps to 0)."""
     present = neighbors(True)
-    me = local_id()
+    me = present.owner
     return from_ordered(me, {j: 0.0 if j == me else 1.0 for j in present.ids()})

@@ -22,8 +22,8 @@ from typing import NamedTuple
 from ..calculus import aggregate, remember, share
 from ..errors import DomainError
 from ..fields import NeighborhoodField
-from .device import context_rng, local_id
-from ._util import check_metric
+from .device import context_rng
+from ._util import INF, check_metric
 
 
 class ElectionResult(NamedTuple):
@@ -36,8 +36,8 @@ class ElectionResult(NamedTuple):
 @aggregate
 def leader_election(radius: float, metric: NeighborhoodField) -> ElectionResult:
     """Run one election round; returns the full winning candidate."""
-    if not radius > 0:
-        raise DomainError(f"election radius must be positive, got {radius}")
+    if not 0 < radius < INF:
+        raise DomainError(f"election radius must be positive and finite, got {radius}")
     check_metric(metric)
 
     set_key, key = remember(None)
@@ -45,11 +45,11 @@ def leader_election(radius: float, metric: NeighborhoodField) -> ElectionResult:
         key = context_rng().random()
         set_key(key)
 
-    me = local_id()
     edges = metric._values  # the field's own dict: plain lookups, no dunder calls
     outcome = {}
 
     def compete(tables: NeighborhoodField) -> dict:
+        me = tables.owner
         merged: dict = {}
         for neighbor_id, table in tables.items():
             if neighbor_id == me or neighbor_id not in edges:

@@ -8,7 +8,6 @@ from typing import Any, Callable
 from ..calculus import aggregate, share
 from ..errors import DomainError
 from ..fields import NeighborhoodField
-from .device import local_id
 
 
 @aggregate
@@ -44,7 +43,6 @@ def stabilizing_gossip(value: Any, combine: Callable[[Any, Any], Any], diameter:
     """
     if not isinstance(diameter, int) or diameter < 1:
         raise DomainError(f"diameter must be a positive integer, got {diameter!r}")
-    me = local_id()
 
     def update(tables: NeighborhoodField) -> dict:
         merged: dict = {}
@@ -56,7 +54,7 @@ def stabilizing_gossip(value: Any, combine: Callable[[Any, Any], Any], diameter:
                 known = merged.get(origin)
                 if known is None or hops < known[1]:
                     merged[origin] = (entry[0], hops)
-        merged[me] = (value, 0)
+        merged[tables.owner] = (value, 0)
         return merged
 
     table = share({}, update)

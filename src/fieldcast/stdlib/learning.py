@@ -7,7 +7,6 @@ from typing import Callable, Iterable, Sequence
 from ..calculus import aggregate, neighbors
 from ..errors import DomainError
 from ..fields import NeighborhoodField, from_ordered
-from .device import local_id
 
 
 @aggregate
@@ -21,7 +20,7 @@ def loss_based_distances(
     so devices whose models transfer well end up close.
     """
     shared = neighbors(tuple(float(w) for w in model))
-    me = local_id()
+    me = shared.owner
     return from_ordered(
         me,
         {

@@ -52,42 +52,37 @@ def distance_to(source: bool, metric: NeighborhoodField) -> float:
     return share(INF, relax)
 
 
-def _relax(links: NeighborhoodField, metric: NeighborhoodField) -> float:
-    """``distance_to``'s relax over the potentials the neighbors carry in ``entry[0]``."""
-    owner = links.owner
-    edges = metric._values  # the field's own dict: plain lookups, no dunder calls
-    best = None  # the first smallest estimate, as min() takes it
-    for j, entry in links.items():
-        if j != owner and j in edges:
-            estimate = entry[0] + edges[j]
-            if best is None or estimate < best:
-                best = estimate
-    return INF if best is None else best
-
-
 @aggregate
 def broadcast(source: bool, value: Any, metric: NeighborhoodField) -> Any:
     """Propagate each source's value outward along descending potential.
 
-    One share carries (potential, value): the potential is ``distance_to``'s,
-    relaxed from the potentials the neighbors share alongside their values.
-    Sources return ``value`` immediately; everyone else adopts the value held
-    by its parent, the neighbor with the smallest potential (ties to the
-    smallest id).  A node with no usable neighbor (disconnected from every
-    source) falls back to its local ``value``.
+    One share carries (potential, value).  Its update makes one pass over the
+    neighbors' entries: it relaxes the potential as ``distance_to`` does and
+    picks the parent, the neighbor with the smallest finite potential (ties
+    to the smallest id).  Sources return ``value`` immediately; everyone else
+    adopts its parent's value, or keeps its local ``value`` when it has no
+    usable neighbor (it is disconnected from every source).
     """
     check_metric(metric)
 
     def update(links: NeighborhoodField) -> tuple:
         if source:
             return (0.0, value)
-        # ids ascend, so the first smallest potential is the smallest (potential, id)
         owner = links.owner
-        parent = None
+        edges = metric._values  # the field's own dict: plain lookups, no dunder calls
+        best = None  # the first smallest estimate, as min() takes it
+        parent = None  # ids ascend, so the first smallest potential is the smallest (potential, id)
         for neighbor_id, entry in links.items():
-            if neighbor_id != owner and entry[0] != INF and (parent is None or entry[0] < parent[0]):
+            if neighbor_id == owner:
+                continue
+            upstream = entry[0]
+            if neighbor_id in edges:
+                estimate = upstream + edges[neighbor_id]
+                if best is None or estimate < best:
+                    best = estimate
+            if upstream != INF and (parent is None or upstream < parent[0]):
                 parent = entry
-        return (_relax(links, metric), parent[1] if parent is not None else value)
+        return (INF if best is None else best, parent[1] if parent is not None else value)
 
     return share((INF, None), update)[1]
 
@@ -101,12 +96,12 @@ def cast_from(
 ) -> Any:
     """Propagate from sources while accumulating over each hop's edge length.
 
-    One share carries (potential, value), the potential relaxed as in
-    ``broadcast``.  The carried value follows the cheapest route: each node
-    extends the neighbor minimizing (upstream potential + edge length),
-    applying ``accumulate`` to that neighbor's value and the edge length.
-    With addition from 0 this reproduces the potential itself; with a
-    constant accumulator it reproduces broadcast.
+    One share carries (potential, value).  Its update makes one pass over the
+    neighbors' entries: it relaxes the potential as ``broadcast`` does and
+    follows the cheapest route, the neighbor with a finite potential that
+    minimizes (upstream potential + edge length, id), applying ``accumulate``
+    to that neighbor's value and the edge length.  With addition from 0 this
+    reproduces the potential itself; with a constant accumulator, broadcast.
     """
     check_metric(metric)
 
@@ -115,17 +110,21 @@ def cast_from(
             return (0.0, initial)
         owner = links.owner
         edges = metric._values
-        best_key = None
-        best = None
+        best = None  # the first smallest estimate, as min() takes it
+        best_key, carried = None, initial
         for neighbor_id, entry in links.items():
-            upstream = entry[0]
-            if neighbor_id == owner or upstream == INF or neighbor_id not in edges:
+            if neighbor_id == owner or neighbor_id not in edges:
                 continue
+            upstream = entry[0]
             weight = edges[neighbor_id]
-            key = (upstream + weight, neighbor_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = accumulate(entry[1], weight)
-        return (_relax(links, metric), best if best_key is not None else initial)
+            estimate = upstream + weight
+            if best is None or estimate < best:
+                best = estimate
+            if upstream != INF:
+                key = (estimate, neighbor_id)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    carried = accumulate(entry[1], weight)
+        return (INF if best is None else best, carried)
 
     return share((INF, None), update)[1]

@@ -30,7 +30,7 @@ def test_a_short_traced_scr_run_counts_every_wrapped_engine_call():
     report = json.loads(finished.stdout.strip().splitlines()[-1])
     assert REPO / report["trace_file"] == TRACE_FILE
     per_layer = report["per_layer"]
-    assert per_layer["engine.enter_per_round"][0] == 13
+    assert per_layer["engine.enter_per_round"][0] == 12
     for call in ("receive", "neighbor_values", "exit"):
         assert per_layer[f"engine.{call}.calls"][0] > 0, call
     # the tracer wraps field methods by name too: folds that bypass them read 0

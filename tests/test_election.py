@@ -104,8 +104,8 @@ def test_equal_keys_elect_the_smallest_id():
 
 
 def test_radius_domain_error():
-    # A NaN radius must fail too: no candidacy would ever expire.
-    for radius in (0.0, math.nan):
+    # A NaN or infinite radius must fail too: no candidacy would ever expire.
+    for radius in (0.0, math.nan, math.inf):
         network = SweepNetwork({0: set()})
         with pytest.raises(DomainError):
             network.sweep(election_program(radius))

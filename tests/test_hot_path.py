@@ -1,4 +1,4 @@
-"""A ceiling on the Python calls an scr, a channel and a flocking node round make.
+"""A ceiling on the Python calls an scr, a channel, a sofl and a flocking node round make.
 
 Host timings on a shared machine drift by 2x, so a slower hot path can hide
 in their noise.  The number of calls a deterministic run makes repeats
@@ -8,6 +8,8 @@ plus about 3%; lower it when the hot path gets leaner.
 
 scr runs the deepest program (election, gradient, collection, broadcast);
 channel runs two gradients and, with every export encoded, the wire codec;
+sofl composes election, gradient, collection and broadcast over the
+loss-based metric;
 flocking moves every device every round, so each round queries the radius
 topology afresh; at ten times its default speed every step is longer than
 half the Verlet skin, so every move clears the lists and every query rebuilds
@@ -29,8 +31,9 @@ pytestmark = pytest.mark.skipif(
 
 # Measured on CPython 3.11.7, seed 7, 1 s.  scr's first second is the
 # election's transient; the steady state makes fewer calls per round.
-SCR_MEASURED, SCR_CEILING = 273.6, 279.8
-CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 238.8, 245.0
+SCR_MEASURED, SCR_CEILING = 259.0, 266.8
+CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 235.8, 242.9
+SOFL_MEASURED, SOFL_CEILING = 322.6, 332.3
 FLOCKING_MEASURED, FLOCKING_CEILING = 140.3, 143.6
 FLOCKING_LONG_STEPS_MEASURED, FLOCKING_LONG_STEPS_CEILING = 184.7, 190.2
 
@@ -74,6 +77,14 @@ def test_a_channel_node_round_with_every_export_encoded_stays_under_its_call_cei
     assert per_round <= CHANNEL_WIRE_CEILING, (
         f"{per_round:.1f} Python calls per channel node round with wire_stats,"
         f" ceiling {CHANNEL_WIRE_CEILING} (measured {CHANNEL_WIRE_MEASURED} when it was set)"
+    )
+
+
+def test_a_sofl_node_round_stays_under_its_call_ceiling(monkeypatch):
+    per_round = calls_per_node_round(monkeypatch, "sofl", node_rounds=704)
+    assert per_round <= SOFL_CEILING, (
+        f"{per_round:.1f} Python calls per sofl node round, ceiling {SOFL_CEILING}"
+        f" (measured {SOFL_MEASURED} when it was set)"
     )
 
 

@@ -109,14 +109,15 @@ def test_scr_single_node_region_of_one():
 
 def test_scr_exports_one_entry_per_building_block():
     # broadcast and collect_with carry their potential in their own share:
-    # no distance_to or find_parent runs nested under them
+    # no distance_to or find_parent runs nested under them, and count_nodes
+    # runs collect_with's body in its own scope
     result = scr.run(config_for("scr", rows=4, cols=4, duration=1.0))
     for node in result.simulator.environment.node_list():
         assert [format_path(path) for path in node.last_export.paths()] == [
             "fn:scr_main#0/fn:neighbors_distances#0/op:neighbors#0",
             "fn:scr_main#0/fn:leader_election#0/op:share#0",
             "fn:scr_main#0/fn:distance_to#0/op:share#0",
-            "fn:scr_main#0/fn:count_nodes#0/fn:collect_with#0/op:share#0",
+            "fn:scr_main#0/fn:count_nodes#0/op:share#0",
             "fn:scr_main#0/fn:broadcast#0/op:share#0",
         ], node.id
 

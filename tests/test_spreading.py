@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fieldcast import aggregate
 from fieldcast.errors import DomainError
@@ -21,7 +21,7 @@ from fieldcast.stdlib import (
     sense,
 )
 from fieldcast.stdlib._util import check_metric
-from fieldcast.stdlib.spreading import _relax
+from fieldcast.stdlib import spreading
 from netharness import SweepNetwork, grid_topology, line_topology, scripted
 
 
@@ -318,17 +318,61 @@ def test_cast_hop_counter_matches_bfs_depth():
     assert results == {n: int(reference[n]) for n in results}
 
 
-potentials = st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf])
+INF = math.inf
+
+
+def reference_relax(links: NeighborhoodField, metric: NeighborhoodField) -> float:
+    """The relax broadcast and cast_from once ran as a second pass over their field."""
+    owner = links.owner
+    edges = metric._values  # the field's own dict: plain lookups, no dunder calls
+    best = None  # the first smallest estimate, as min() takes it
+    for j, entry in links.items():
+        if j != owner and j in edges:
+            estimate = entry[0] + edges[j]
+            if best is None or estimate < best:
+                best = estimate
+    return INF if best is None else best
+
+
+def shared_potential(block, links: NeighborhoodField, metric: NeighborhoodField, *args) -> float:
+    """The potential ``block``'s update shares on one links field, outside any round."""
+    shared = []
+
+    def share(initial, update):
+        shared.append(update(links))
+        return shared[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spreading, "share", share)
+        block.__wrapped__(False, *args, metric)
+    return shared[0][0]
+
+
+# Both zeros and infinities; NaN only among the potentials, since a NaN edge
+# fails the metric check.
+edges = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, INF])
+potentials = st.one_of(edges, st.just(math.nan))
+ids = st.integers(0, 6)
 
 
 @given(
-    links=st.dictionaries(st.integers(0, 6), st.tuples(potentials, st.none()), max_size=7),
-    metric=st.dictionaries(st.integers(0, 6), st.sampled_from([0.0, 0.5, 1.0, math.inf]), max_size=7),
+    owner=ids,
+    links=st.dictionaries(ids, st.tuples(potentials, st.none()), max_size=7),
+    metric=st.dictionaries(ids, edges, max_size=7),
 )
-def test_relax_takes_what_min_takes(links, metric):
-    links, metric = NeighborhoodField(0, links), NeighborhoodField(0, metric)
-    expected = min(
-        (entry[0] + metric[j] for j, entry in links.items() if j != 0 and j in metric),
-        default=math.inf,
+# tied zeros: the first one stays; an infinite potential before a NaN one
+@example(owner=0, links={1: (0.0, None), 2: (-0.0, None)}, metric={1: 0.0, 2: -0.0})
+@example(owner=0, links={1: (INF, None), 2: (math.nan, None)}, metric={1: 1.0, 2: 1.0})
+def test_relax_takes_what_min_takes(owner, links, metric):
+    """broadcast's and cast_from's one pass relaxes as the second pass did, bit for bit."""
+    links, metric = NeighborhoodField(owner, links), NeighborhoodField(owner, metric)
+    reference = repr(reference_relax(links, metric))
+    assert reference == repr(
+        min(
+            (entry[0] + metric[j] for j, entry in links.items() if j != owner and j in metric),
+            default=INF,
+        )
     )
-    assert repr(_relax(links, metric)) == repr(expected)
+    assert repr(shared_potential(broadcast, links, metric, None)) == reference
+    cast = shared_potential(cast_from, links, metric, None, lambda carried, _: carried)
+    assert repr(cast) == reference
