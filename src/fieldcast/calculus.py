@@ -31,6 +31,7 @@ from .engine import (
     KIND_BRANCH_RIGHT,
     KIND_FUNCTION,
     KIND_OPERATOR,
+    NO_ROUND,
     Engine,
     PathNode,
 )
@@ -63,15 +64,17 @@ def activate(engine: Engine):
 class StateHandle:
     """Setter for one state slot; calling it stages the next-round value.
 
-    ``current`` is the slot's round-start value: staged writes only become
-    visible next round.
+    ``current`` is the value `remember` returned with the handle, the slot's
+    round-start value: staged writes only become visible next round.  Calling
+    the handle and reading ``current`` raise `UsageError` after the round.
     """
 
-    __slots__ = ("_engine", "_node")
+    __slots__ = ("_engine", "_node", "_value")
 
-    def __init__(self, engine: Engine, node: PathNode):
+    def __init__(self, engine: Engine, node: PathNode, value: Any):
         self._engine = engine
         self._node = node
+        self._value = value
 
     @property
     def path(self):
@@ -83,7 +86,9 @@ class StateHandle:
 
     @property
     def current(self) -> Any:
-        return self._engine.slot_value(self._node)
+        if self._engine.context is None:
+            raise UsageError(NO_ROUND)
+        return self._value
 
     def __repr__(self) -> str:
         return f"StateHandle(path={self.path!r})"
@@ -104,7 +109,7 @@ def remember(initial: Any) -> tuple[StateHandle, Any]:
         value, node = engine.write_slot(initial)
     finally:
         engine.exit()
-    return StateHandle(engine, node), value
+    return StateHandle(engine, node, value), value
 
 
 def neighbors(value: Any) -> NeighborhoodField:

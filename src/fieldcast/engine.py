@@ -345,7 +345,6 @@ class Engine:
         # not on the shared nodes, so rounds on separate threads stay apart.
         self._entered: set[PathNode] = set()
         self._slots: dict = {}
-        self._slot_current: dict = {}
         self._export: dict = {}
         self.staged_actuations: dict[str, Any] = {}
         self.context = context
@@ -412,28 +411,19 @@ class Engine:
         if self.context is None:
             raise UsageError(NO_ROUND)
         node = self._node
-        if node in self._slot_current:
+        if node in self._slots:
             raise AlignmentError(node.tokens, "state slot claimed twice in one round")
-        current = self._prev_slots.get(node, initial)
-        self._slot_current[node] = current
-        self._slots[node] = current  # carry forward unless set_slot overrides
+        # carried forward unless set_slot overrides
+        current = self._slots[node] = self._prev_slots.get(node, initial)
         return current, node
 
     def set_slot(self, node: PathNode, value: Any) -> None:
         """Stage ``value`` for the next round; last write wins."""
         if self.context is None:
             raise UsageError(NO_ROUND)
-        if node not in self._slot_current:
+        if node not in self._slots:
             raise UsageError("set_slot on a slot not claimed this round (stale handle?)")
         self._slots[node] = value
-
-    def slot_value(self, node: PathNode) -> Any:
-        """The slot's round-start value (staged writes do not show here)."""
-        if self.context is None:
-            raise UsageError(NO_ROUND)
-        if node not in self._slot_current:
-            raise UsageError("slot_value on a slot not claimed this round (stale handle?)")
-        return self._slot_current[node]
 
     # -- exchange ----------------------------------------------------------
 

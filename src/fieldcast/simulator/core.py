@@ -90,11 +90,6 @@ class Simulator:
         """``actuator(environment, node, staged_value)`` runs after each round."""
         self.actuators[name] = actuator
 
-    def _notify_round(self, node: Node) -> None:
-        self.rounds_executed += 1
-        for monitor in self.monitors:
-            monitor.on_round(self, node)
-
 
 def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, program: Callable) -> None:
     """Execute one full round for ``node`` and reschedule it after ``dt``.
@@ -153,7 +148,9 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
                 simulator.wire_bytes += len(wire[0])
                 simulator.wire_exports += 1
                 simulator.inline_exports += wire[1]
-            simulator._notify_round(node)
+            simulator.rounds_executed += 1
+            for monitor in simulator.monitors:
+                monitor.on_round(simulator, node)
     simulator.schedule_event(now + dt, aggregate_program_runner, simulator, dt, node, program)
 
 

@@ -29,14 +29,16 @@ _CLEAR_SHARE = _SKIN / (1 + _SKIN) / 2 * (1 - 1e-9)
 
 
 class Environment:
+    """The deployed nodes and their topology.  `move_node` is the only writer of
+    `Node.position`; it re-files the node in the radius grid as it moves it."""
+
     def __init__(self):
         self.nodes: dict[int, Node] = {}
         self.neighborhood_fn: NeighborhoodFn = full_neighborhood()
         self._neighbor_memo: dict[int, tuple[int, ...]] = {}
-        # Radius grid: cell side (None until first built), cell -> nodes, id -> cell.
+        # Radius grid: cell side (None until first built), cell -> nodes.
         self._grid_side: float | None = None
         self._grid: dict[tuple[int, int], list[Node]] = {}
-        self._grid_cell: dict[int, tuple[int, int]] = {}
         # Verlet lists and each node's travel since they were cleared; a new grid clears them.
         self._verlet: dict[int, list[Node]] = {}
         self._travel: dict[int, float] = {}
@@ -56,7 +58,8 @@ class Environment:
 
     def move_node(self, node: Node, position) -> None:
         position = _finite(position)
-        step = math.hypot(position[0] - node.position[0], position[1] - node.position[1])
+        before = node.position
+        step = math.hypot(position[0] - before[0], position[1] - before[1])
         node.position = position
         if self._neighbor_memo:
             self._neighbor_memo = {}
@@ -65,15 +68,13 @@ class Environment:
             travel = self._travel[node.id] = self._travel.get(node.id, 0.0) + step
             if travel > side * _CLEAR_SHARE:
                 self._verlet, self._travel = {}, {}
-            cell = _cell(position, side)
-            old = self._grid_cell[node.id]
+            cell, old = _cell(position, side), _cell(before, side)
             if cell != old:
                 bucket = self._grid[old]
                 bucket.remove(node)
                 if not bucket:
                     del self._grid[old]
                 self._grid.setdefault(cell, []).append(node)
-                self._grid_cell[node.id] = cell
 
     def set_neighborhood_function(self, fn: NeighborhoodFn) -> None:
         self.neighborhood_fn = fn
@@ -121,11 +122,9 @@ class Environment:
         if self._grid_side == reach:
             return self._grid
         grid: dict[tuple[int, int], list[Node]] = {}
-        cells: dict[int, tuple[int, int]] = {}
         for node in self.nodes.values():
-            cell = cells[node.id] = _cell(node.position, reach)
-            grid.setdefault(cell, []).append(node)
-        self._grid_side, self._grid, self._grid_cell = reach, grid, cells
+            grid.setdefault(_cell(node.position, reach), []).append(node)
+        self._grid_side, self._grid = reach, grid
         self._verlet, self._travel = {}, {}
         return grid
 

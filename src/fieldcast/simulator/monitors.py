@@ -44,16 +44,18 @@ def result_value(result: Any, key: str | None) -> Any:
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    text = repr(value) if isinstance(value, float) else str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 class CsvTraceMonitor(Monitor):
     """One CSV row per node round: ``time,node_id,x,y,value``.
 
     Times carry six decimal places; positions and values are written with
-    full repr precision so equal-seed runs produce byte-identical files.
+    full repr precision so equal-seed runs produce byte-identical files.  A
+    value whose text holds a comma, quote or line break is quoted (RFC 4180).
     """
 
     def __init__(self, path, value_key: str | None = None):
@@ -171,14 +173,15 @@ def render_svg_frame(environment, value_key: str | None = None, size: int = 640)
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}"/>'
     xs = [n.position[0] for n in nodes]
     ys = [n.position[1] for n in nodes]
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    min_x, min_y = min(xs), min(ys)
+    span = max(max(xs) - min_x, max(ys) - min_y) or 1.0
     margin = 0.05 * span
     scale = size / (span + 2 * margin)
 
     def project(p):
         return (
-            (p[0] - min(xs) + margin) * scale,
-            size - (p[1] - min(ys) + margin) * scale,
+            (p[0] - min_x + margin) * scale,
+            size - (p[1] - min_y + margin) * scale,
         )
 
     values = [result_value(n.result, value_key) for n in nodes]

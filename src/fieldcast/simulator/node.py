@@ -13,7 +13,8 @@ TEMPLATE_REFRESH = 20
 class Node:
     """One device in the environment.
 
-    ``data`` is the sensor map handed to the program each round.  The node
+    ``data`` is the sensor map handed to the program each round.  Only
+    `Environment.move_node` writes ``position`` after construction.  The node
     keeps its engine state plus the last two published exports so readers can
     fetch the most recent export completed strictly before their own round
     (same-instant exports are not yet visible, as a real message would take

@@ -73,6 +73,24 @@ def test_handle_current_is_round_start_value():
     assert run_rounds(peek, 3) == [0, 1, 2]
 
 
+def test_a_handle_kept_past_its_round_refuses_reads_and_writes():
+    kept = []
+
+    @aggregate
+    def keeper():
+        set_value, value = remember(0)
+        kept.append(set_value)
+        set_value(value + 1)
+        return value
+
+    assert run_rounds(keeper, 2) == [0, 1]
+    for handle in kept:
+        with pytest.raises(UsageError, match="no round in progress"):
+            handle(5)
+        with pytest.raises(UsageError, match="no round in progress"):
+            handle.current
+
+
 def test_last_write_wins_through_handle():
     @aggregate
     def writer():

@@ -1,11 +1,14 @@
 """Event queue, topologies, deployments, runner semantics, monitors."""
 
+import csv
+import hashlib
 import logging
 import math
 import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fieldcast import aggregate, current_engine, neighbors, remember, share
 from fieldcast.errors import DomainError, EncodingError, format_path
@@ -37,6 +40,7 @@ from fieldcast.simulator import (
     random_in_circle,
     render_svg_frame,
 )
+from fieldcast.simulator.environment import _cell
 
 from netharness import SweepNetwork, line_topology
 
@@ -167,6 +171,54 @@ def test_radius_neighborhood_matches_brute_force():
             env.set_neighborhood_function(radius_neighborhood(radius))
         assert_radius_topology_exact(env, radius)
     assert min(min(node.position) for node in env.node_list()) < -1.0
+
+
+def assert_grid_files_each_node_by_its_position(env):
+    """Every node sits in exactly one radius-grid bucket: the cell of its position."""
+    filed = [(cell, node) for cell, bucket in env._grid.items() for node in bucket]
+    assert sorted(node.id for _, node in filed) == sorted(env.nodes)
+    assert all(env._grid.values())  # an emptied bucket is dropped
+    for cell, node in filed:
+        assert cell == _cell(node.position, env._grid_side), node.id
+
+
+GRID_RADIUS = 0.4
+GRID_REACH = 0.5  # GRID_RADIUS plus its skin: the grid's cell side, exact in binary
+# One coordinate of a move: onto a cell edge up to two cells away, or a step of up to two cells.
+axis_moves = st.one_of(
+    st.tuples(st.just("edge"), st.integers(min_value=-2, max_value=2)),
+    st.tuples(st.just("step"), st.floats(min_value=-2 * GRID_REACH, max_value=2 * GRID_REACH)),
+)
+
+
+def moved(coordinate, move):
+    kind, amount = move
+    if kind == "edge":
+        return (coordinate // GRID_REACH + amount) * GRID_REACH
+    return coordinate + amount
+
+
+start_coordinates = st.floats(min_value=-1.5, max_value=1.5)
+
+
+@given(
+    st.lists(st.tuples(start_coordinates, start_coordinates), min_size=2, max_size=8),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=7), axis_moves, axis_moves), max_size=40),
+)
+def test_every_move_refiles_its_node_under_the_cell_of_its_position(starts, walk):
+    sim = Simulator()
+    for position in starts:
+        sim.add_node(position)
+    env = sim.environment
+    env.set_neighborhood_function(radius_neighborhood(GRID_RADIUS))
+    assert_radius_topology_exact(env, GRID_RADIUS)
+    assert env._grid_side == GRID_REACH
+    for index, move_x, move_y in walk:
+        node = env.nodes[index % len(env.nodes)]
+        x, y = node.position
+        env.move_node(node, (moved(x, move_x), moved(y, move_y)))
+        assert_grid_files_each_node_by_its_position(env)
+        assert_radius_topology_exact(env, GRID_RADIUS)
 
 
 def count_list_builds(monkeypatch):
@@ -847,6 +899,28 @@ def test_csv_trace_format(tmp_path):
 
 
 @aggregate
+def awkward_value():
+    return (local_id(), "a,b") if local_id() == 0 else 'say "hi"'
+
+
+def test_csv_trace_quotes_values_holding_commas_and_quotes(tmp_path):
+    path = tmp_path / "trace.csv"
+    sim = Simulator()
+    grid_generation(sim, 1, 2, 1.0)
+    sim.attach_monitor(CsvTraceMonitor(path))
+    schedule_everywhere(sim, 0.1, awkward_value)
+    sim.run(0.25)
+
+    with path.open(newline="") as file:
+        rows = list(csv.reader(file))
+    assert rows[0] == ["time", "node_id", "x", "y", "value"]
+    assert len(rows) == 1 + 3 * 2
+    for row in rows[1:]:
+        assert len(row) == 5, row
+        assert row[4] == ("(0, 'a,b')" if row[1] == "0" else 'say "hi"')
+
+
+@aggregate
 def round_counter():
     set_count, count = remember(0)
     set_count(count + 1)
@@ -902,6 +976,18 @@ def test_render_handles_empty_and_boolean_fields():
     node = sim.add_node((0.0, 0.0))
     node.result = True
     assert "circle" in render_svg_frame(sim.environment)
+
+
+def test_a_seeded_frame_renders_the_recorded_bytes():
+    sim = Simulator(seed=11)
+    sim.environment.set_neighborhood_function(radius_neighborhood(1.5))
+    rng = random.Random(11)
+    for node in deformed_lattice(sim, 20, 20, 1.0, 0.3):
+        node.result = rng.choice([rng.uniform(-5.0, 5.0), rng.randrange(10), True, math.inf, "x"])
+    frame = render_svg_frame(sim.environment).encode()
+    assert hashlib.sha256(frame).hexdigest() == (
+        "00b8ff8cad788a02823e57f106ba5afb21b3099af503de2c53409e4488111c0e"
+    )
 
 
 def test_render_scales_colours_on_the_finite_values_only():
