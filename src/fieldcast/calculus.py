@@ -24,7 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import wraps
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from .engine import (
     KIND_BRANCH_LEFT,
@@ -66,15 +66,17 @@ class StateHandle:
 
     ``current`` is the value `remember` returned with the handle, the slot's
     round-start value: staged writes only become visible next round.  Calling
-    the handle and reading ``current`` raise `UsageError` after the round.
+    the handle and reading ``current`` raise `UsageError` outside the round it
+    was made in (its engine's ``context``), in a later round of that engine too.
     """
 
-    __slots__ = ("_engine", "_node", "_value")
+    __slots__ = ("_engine", "_node", "_value", "_round")
 
     def __init__(self, engine: Engine, node: PathNode, value: Any):
         self._engine = engine
         self._node = node
         self._value = value
+        self._round = engine.context
 
     @property
     def path(self):
@@ -82,13 +84,19 @@ class StateHandle:
         return self._node.tokens
 
     def __call__(self, value: Any) -> None:
+        if self._engine.context is not self._round:
+            self._refuse()
         self._engine.set_slot(self._node, value)
 
     @property
     def current(self) -> Any:
-        if self._engine.context is None:
-            raise UsageError(NO_ROUND)
+        if self._engine.context is not self._round:
+            self._refuse()
         return self._value
+
+    def _refuse(self) -> NoReturn:
+        later = self._engine.context is not None
+        raise UsageError("state handle from an earlier round" if later else NO_ROUND)
 
     def __repr__(self) -> str:
         return f"StateHandle(path={self.path!r})"
@@ -198,5 +206,4 @@ def aggregate(fn: Callable) -> Callable:
         finally:
             engine.exit()
 
-    wrapper.__wrapped__ = fn
     return wrapper

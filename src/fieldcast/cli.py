@@ -4,13 +4,13 @@ Usage:
     fieldcast list
     fieldcast run <scenario> [--rows N --cols N --n N --spacing X --noise X
                               --radius X --dt X --duration X --seed N
-                              --out trace.csv --frames dir --check
-                              --wire-stats --config file ...scenario flags]
+                              --out trace.csv --frames dir --[no-]check
+                              --[no-]wire-stats --config file ...scenario flags]
 
-Every ``ScenarioConfig`` field but ``scenario`` is both a flag (``--name-with-
-dashes``) and a ``--config`` key.  ``--check`` runs the scenario's built-in
-oracle and exits nonzero when any check fails.  ``--config`` reads flat
-``key=value`` lines; explicit flags override file values.
+Every ``ScenarioConfig`` field but ``scenario`` is a flag (``--name-with-dashes``,
+plus ``--no-name`` for a boolean) and a ``--config`` key.  ``--check`` runs the
+scenario's built-in oracle and exits nonzero when any check fails.  ``--config``
+reads flat ``key=value`` lines; explicit flags (``--no-check`` too) override it.
 """
 
 from __future__ import annotations
@@ -59,10 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("scenario", choices=sorted(SCENARIOS))
     runner.add_argument("--config", type=str, default=None, help="key=value config file")
     for name, parse in _CONFIG_KEYS.items():
-        if parse is _parse_bool:
-            runner.add_argument(f"--{name.replace('_', '-')}", action="store_true", default=None)
+        flag = f"--{name.replace('_', '-')}"
+        if parse is _parse_bool:  # --name and --no-name, so either overrides a config file
+            runner.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
         else:
-            runner.add_argument(f"--{name.replace('_', '-')}", type=parse, default=None)
+            runner.add_argument(flag, type=parse, default=None)
     return parser
 
 

@@ -123,7 +123,7 @@ def aggregate_program_runner(simulator: Simulator, dt: float, node: Node, progra
         try:
             token = engine_var.set(engine)
             try:
-                engine.setup(context, inbound, node.state, node.export_before(now))
+                engine.setup(context, inbound, node.state, node.last_export)
                 result = program()
                 new_state, export = engine.cooldown()
             finally:

@@ -15,10 +15,12 @@ class Node:
 
     ``data`` is the sensor map handed to the program each round.  Only
     `Environment.move_node` writes ``position`` after construction.  The node
-    keeps its engine state plus the last two published exports so readers can
-    fetch the most recent export completed strictly before their own round
-    (same-instant exports are not yet visible, as a real message would take
-    nonzero time to arrive).
+    keeps its engine state and its last two exports, so a reader gets the
+    latest export published strictly before its own round (a same-instant
+    export has not arrived yet).  Only the latest export has a time: the
+    runner's positive ``dt`` makes a node publish at most once per instant.
+    A node published twice at one instant would show same-instant readers
+    the first of those exports, not its export from before the instant.
 
     Setting ``suppressed`` makes the runner skip this node's rounds without
     unscheduling them: the fault-injection hook for unreliable devices.
@@ -39,7 +41,6 @@ class Node:
         "_export",
         "_export_time",
         "_prev_export",
-        "_prev_export_time",
         "_sent_shape",
         "_references",
     )
@@ -55,7 +56,6 @@ class Node:
         self._export: Export | None = None
         self._export_time = 0.0
         self._prev_export: Export | None = None
-        self._prev_export_time = 0.0
         self._sent_shape: tuple | None = None
         self._references = 0  # exports sent by reference since the last inline one
 
@@ -65,17 +65,12 @@ class Node:
 
     def publish_export(self, export: Export, time: float) -> None:
         self._prev_export = self._export
-        self._prev_export_time = self._export_time
         self._export = export
         self._export_time = time
 
     def export_before(self, time: float) -> Export | None:
-        """Most recent export published strictly before ``time``."""
-        if self._export is not None and self._export_time < time:
-            return self._export
-        if self._prev_export is not None and self._prev_export_time < time:
-            return self._prev_export
-        return None
+        """Latest export published strictly before ``time`` (at or after the last publish)."""
+        return self._export if self._export_time < time else self._prev_export
 
     def encode_export(self, export: Export) -> tuple[bytes, bool]:
         """The wire bytes of ``export`` under the template policy, and whether they are inline."""

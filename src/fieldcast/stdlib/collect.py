@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..calculus import aggregate, share
+from ..calculus import aggregate, neighbors, share
 from ..fields import NeighborhoodField
-from .device import local_id
 from ._util import INF
 
 
@@ -17,19 +16,14 @@ def find_parent(potential: float) -> int:
     Ties break to the smallest id; a node that is a local minimum (a source,
     or sitting on a plateau) is its own parent.
     """
-    me = local_id()
+    potentials = neighbors(potential)
+    me = potentials.owner
     best = None
-
-    def publish(estimates: NeighborhoodField) -> float:
-        nonlocal best
-        for neighbor_id, neighbor_potential in estimates.items():
-            if neighbor_id != me and neighbor_potential < potential:
-                key = (neighbor_potential, neighbor_id)
-                if best is None or key < best:
-                    best = key
-        return potential
-
-    share(INF, publish)
+    for neighbor_id, neighbor_potential in potentials.items():
+        if neighbor_id != me and neighbor_potential < potential:
+            key = (neighbor_potential, neighbor_id)
+            if best is None or key < best:
+                best = key
     return best[1] if best is not None else me
 
 

@@ -91,6 +91,24 @@ def test_a_handle_kept_past_its_round_refuses_reads_and_writes():
             handle.current
 
 
+def test_a_handle_from_an_earlier_round_of_a_reused_engine_is_refused():
+    engine = Engine()
+    with activate(engine):
+        engine.setup(NodeContext(0, (0.0, 0.0), 0.0, {}), (), None)
+        first, _ = remember(0)
+        first(1)
+        state, _ = engine.cooldown()
+        engine.setup(NodeContext(0, (0.0, 0.0), 1.0, {}), (), state)
+        second, value = remember(0)  # the same path, claimed again
+        with pytest.raises(UsageError, match="earlier round"):
+            first(99)
+        with pytest.raises(UsageError, match="earlier round"):
+            first.current
+        assert (value, second.current) == (1, 1)
+        state, _ = engine.cooldown()
+    assert list(state.values()) == [1]
+
+
 def test_last_write_wins_through_handle():
     @aggregate
     def writer():

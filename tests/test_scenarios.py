@@ -433,6 +433,8 @@ def test_every_config_field_is_a_flag_and_a_config_key(tmp_path, capsys):
     config_file.write_text("wire_stats=1\n")
     assert main(args + ["--config", str(config_file)]) == 0
     assert "wire bytes" in capsys.readouterr().out
+    assert main(args + ["--config", str(config_file), "--no-wire-stats"]) == 0
+    assert "wire bytes" not in capsys.readouterr().out
     config_file.write_text("rows=three\n")
     assert main(args + ["--config", str(config_file)]) == 2
 

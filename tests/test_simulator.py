@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fieldcast import aggregate, current_engine, neighbors, remember, share
+from fieldcast.engine import Export
 from fieldcast.errors import DomainError, EncodingError, format_path
 from fieldcast.scenarios import oracles
 from fieldcast.stdlib import (
@@ -27,6 +28,7 @@ from fieldcast.simulator import (
     Environment,
     FrameMonitor,
     Monitor,
+    Node,
     Simulator,
     TraceRecorder,
     aggregate_program_runner,
@@ -493,6 +495,29 @@ def test_exchange_visible_from_round_two():
     second = {r[2]: r[4] for r in recorder.records if r[1] == 2}
     assert first == {0: [0], 1: [1]}  # same-instant exports are not yet visible
     assert second == {0: [0, 1], 1: [0, 1]}
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1e3), unique=True, max_size=6).map(sorted),
+    st.lists(st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=3), min_size=7),
+)
+def test_export_before_is_the_last_export_published_strictly_before(times, waits):
+    """One clock agrees with the full publish history at every time the runner asks.
+
+    The runner asks at the current instant, so only at or after the latest
+    publish; ``times`` are the publishes, strictly increasing.
+    """
+    node = Node(0, (0.0, 0.0))
+    history = []
+    for index, time in enumerate([None, *times]):  # None: before the first publish
+        if time is not None:
+            export = Export({})
+            node.publish_export(export, time)
+            history.append((time, export))
+        start = 0.0 if time is None else time
+        for query in [start, start + 1.0] + [start + wait for wait in waits[index]]:
+            earlier = [export for published, export in history if published < query]
+            assert node.export_before(query) is (earlier[-1] if earlier else None)
 
 
 def test_constant_program_result_every_round():
