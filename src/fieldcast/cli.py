@@ -16,6 +16,7 @@ reads flat ``key=value`` lines; explicit flags (``--no-check`` too) override it.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -67,11 +68,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def parse_config_file(path: str) -> dict:
-    """Flat ``key=value`` lines; blank lines and ``#`` comments are ignored."""
+    """Flat ``key=value`` lines; blank lines and ``#`` comments are ignored.
+
+    A ``#`` starts a comment at the start of a line or after whitespace, as
+    ``configparser``'s inline comments do; elsewhere it is part of the value.
+    """
     values = {}
     for line_number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:

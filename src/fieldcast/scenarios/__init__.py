@@ -1,45 +1,18 @@
-"""Bundled experiments runnable from the command line."""
+"""Bundled experiments runnable from the command line.
 
-from dataclasses import dataclass
-from typing import Callable
+Each scenario module is its own registry entry: ``run``, ``defaults`` and a
+one-line ``description``.
+"""
 
 from . import channel, flocking, gossipmax, scr, sofl
 from .base import CheckResult, RunResult, ScenarioConfig
 
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    run: Callable[[ScenarioConfig], RunResult]
-    defaults: dict
-    description: str
-
-
-SCENARIOS: dict[str, ScenarioSpec] = {
-    "channel": ScenarioSpec(
-        channel.run,
-        channel.DEFAULTS,
-        "devices within a width of the shortest source-target path",
-    ),
-    "scr": ScenarioSpec(
-        scr.run,
-        scr.DEFAULTS,
-        "coordination regions: leader election, per-region node counts",
-    ),
-    "gossip-max": ScenarioSpec(
-        gossipmax.run,
-        gossipmax.DEFAULTS,
-        "network-wide maximum via epidemic gossip",
-    ),
-    "flocking": ScenarioSpec(
-        flocking.run,
-        flocking.DEFAULTS,
-        "heading alignment with constant-speed motion",
-    ),
-    "sofl": ScenarioSpec(
-        sofl.run,
-        sofl.DEFAULTS,
-        "self-organizing federated learning on an analytic toy model",
-    ),
+SCENARIOS = {
+    "channel": channel,
+    "scr": scr,
+    "gossip-max": gossipmax,
+    "flocking": flocking,
+    "sofl": sofl,
 }
 
 __all__ = [
@@ -47,5 +20,4 @@ __all__ = [
     "RunResult",
     "SCENARIOS",
     "ScenarioConfig",
-    "ScenarioSpec",
 ]

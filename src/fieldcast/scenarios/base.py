@@ -1,8 +1,9 @@
 """Scenario plumbing shared by every bundled experiment.
 
-A scenario module keeps only what is its own: ``DEFAULTS`` (the settings that
-differ from ``ScenarioConfig``), the node data, the program, the oracle checks
-and any extras.  The skeleton every scenario runs lives here once:
+A scenario module keeps only what is its own: its ``description``,
+``defaults`` (the settings that differ from ``ScenarioConfig``), the node data,
+the program, the oracle checks and any extras.  The skeleton every scenario
+runs lives here once:
 
 * ``build_simulator`` validates the config and deploys the nodes under a
   radius topology: ``n`` nodes uniformly in a disc of radius

@@ -15,7 +15,8 @@ from ..stdlib import collect_or, distance_to, neighbors_distances, sense
 from . import oracles
 from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
-DEFAULTS: dict = {}
+description = "devices within a width of the shortest source-target path"
+defaults: dict = {}
 
 
 def make_program(width: float):

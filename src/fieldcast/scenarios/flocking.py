@@ -18,7 +18,8 @@ from ..stdlib import context_rng, store_actuation
 from ..simulator import motion_actuator
 from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
-DEFAULTS = {"rows": 10, "cols": 10, "radius": 0.3}
+description = "heading alignment with constant-speed motion"
+defaults = {"rows": 10, "cols": 10, "radius": 0.3}
 
 
 def normalize_angle(theta: float) -> float:

@@ -15,7 +15,8 @@ from ..stdlib import gossip_max, sense
 from . import oracles
 from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
-DEFAULTS = {"rows": 10, "cols": 10}
+description = "network-wide maximum via epidemic gossip"
+defaults = {"rows": 10, "cols": 10}
 
 
 @aggregate

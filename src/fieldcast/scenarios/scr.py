@@ -21,7 +21,8 @@ from ..stdlib import (
 from . import oracles
 from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
-DEFAULTS = {"duration": 15.0}
+description = "coordination regions: leader election, per-region node counts"
+defaults = {"duration": 15.0}
 
 
 def make_program(leader_radius: float):

@@ -26,7 +26,8 @@ from ..stdlib import (
 from ..simulator import CsvTraceMonitor
 from .base import CheckResult, RunResult, ScenarioConfig, build_simulator, simulate
 
-DEFAULTS = {"rows": 8, "cols": 8, "radius": 0.15}
+description = "self-organizing federated learning on an analytic toy model"
+defaults = {"rows": 8, "cols": 8, "radius": 0.15}
 
 CENTER_SCALE = 2.0
 

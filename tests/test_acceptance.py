@@ -8,6 +8,7 @@ import math
 import time
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fieldcast import (
@@ -366,40 +367,65 @@ def run_program(ops, state=None, previous=None):
 
 
 @generative
-@given(program_strategy)
-def test_criterion_9a_path_balance(ops):
-    outcome = run_program(ops)  # cooldown inside raises on imbalance
-    assert outcome["path_after"] == ()
-
-
-@generative
 @given(program_strategy, program_strategy)
-def test_criterion_9b_state_garbage_collection(first_ops, second_ops):
-    outcome = run_program(first_ops)
-    second = run_program(second_ops, state=outcome["state"], previous=outcome["export"])
-    assert set(second["state"]) == set(second["slot_log"])
+def engine_properties(first_ops, second_ops):
+    """Path balance, state GC, last write wins and export paths, on one draw.
 
-
-@generative
-@given(program_strategy)
-def test_criterion_9c_last_write_wins(ops):
-    outcome = run_program(ops)
+    ``first_ops`` runs from scratch, then again on its own state (``again``),
+    and ``second_ops`` runs on that same state (``second``).  Each assertion
+    names its property.
+    """
+    first = run_program(first_ops)
+    again = run_program(first_ops, state=first["state"], previous=first["export"])
+    second = run_program(second_ops, state=first["state"], previous=first["export"])
+    for outcome in (first, again, second):
+        # cooldown inside run_program already raises on imbalance
+        assert outcome["path_after"] == (), "path balance"
+        assert set(outcome["export"].paths()) == set(outcome["send_log"]), "export paths"
+    # a slot starts where the previous round's last write left it
     expectations = {
         path: (writes[-1] if writes else observed)
-        for path, observed, _, writes in outcome["slots_seen"]
+        for path, observed, _, writes in first["slots_seen"]
     }
-    second = run_program(ops, state=outcome["state"], previous=outcome["export"])
-    for path, observed, _, _ in second["slots_seen"]:
-        assert observed == expectations[path]
+    for path, observed, _, _ in again["slots_seen"]:
+        assert observed == expectations[path], "last write wins"
+    # only the slots claimed this round survive
+    assert set(second["state"]) == set(second["slot_log"]), "state garbage collection"
 
 
-@generative
-@given(program_strategy)
-def test_criterion_9d_export_paths_equal_sent_paths(ops):
-    outcome = run_program(ops)
-    assert set(outcome["export"].paths()) == set(outcome["send_log"])
-    second = run_program(ops, state=outcome["state"], previous=outcome["export"])
-    assert set(second["export"].paths()) == set(second["send_log"])
+@pytest.fixture(scope="module")
+def engine_properties_failure():
+    """Run ``engine_properties`` once for the four criterion-9 tests.
+
+    Returns ``None`` when all four properties held on every draw, else the
+    error Hypothesis raised for its shrunk counterexample.  Every draw checks
+    all four, so a failure fails all four tests: none of them saw every draw.
+    """
+    try:
+        engine_properties()
+    except Exception as failure:
+        return failure
+    return None
+
+
+def test_criterion_9a_path_balance(engine_properties_failure):
+    if engine_properties_failure is not None:
+        raise engine_properties_failure
+
+
+def test_criterion_9b_state_garbage_collection(engine_properties_failure):
+    if engine_properties_failure is not None:
+        raise engine_properties_failure
+
+
+def test_criterion_9c_last_write_wins(engine_properties_failure):
+    if engine_properties_failure is not None:
+        raise engine_properties_failure
+
+
+def test_criterion_9d_export_paths_equal_sent_paths(engine_properties_failure):
+    if engine_properties_failure is not None:
+        raise engine_properties_failure
 
 
 def test_criterion_9_report():

@@ -401,6 +401,17 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert trace_a.read_bytes() != trace_b.read_bytes()
 
 
+def test_config_file_keeps_a_hash_inside_a_value(tmp_path):
+    """Only a ``#`` at the start of a line or after whitespace opens a comment."""
+    trace = tmp_path / "run#1.csv"
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(f"rows=3\ncols=3\nduration=1.0\nout={trace}\nseed=9  # note\n")
+    assert parse_config_file(str(config_file))["seed"] == 9
+    assert main(["run", "gossip-max", "--config", str(config_file)]) == 0
+    assert trace.is_file()
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rows 4\n")

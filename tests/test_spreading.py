@@ -10,6 +10,7 @@ from fieldcast import aggregate
 from fieldcast.errors import DomainError
 from fieldcast.fields import NeighborhoodField, from_ordered
 from fieldcast.scenarios import oracles
+from fieldcast.simulator import Simulator, aggregate_program_runner, radius_neighborhood
 from fieldcast.stdlib import (
     broadcast,
     cast_from,
@@ -101,6 +102,29 @@ def test_gradient_heals_after_source_moves():
     network.sensors[n - 1]["source"] = True
     results = network.run_until_stable(gradient_program())
     assert results == {i: float(n - 1 - i) for i in range(n)}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="distance_to counts to infinity: cut off from the source, nodes 3 and 4 "
+    "read 133/132 at t = 40 and 293/292 at t = 200, not +inf",
+)
+def test_gradient_cut_off_from_every_source_becomes_infinite():
+    # The simulator, not netharness: the harness memoises neighbours per
+    # topology dict, so it never sees a move.
+    sim = Simulator(seed=0)
+    sim.environment.set_neighborhood_function(radius_neighborhood(1.5))
+    nodes = [sim.add_node((float(x), 0.0), {"source": x == 0}) for x in range(5)]
+    for node in nodes:
+        sim.schedule_event(0.0, aggregate_program_runner, sim, 1.0, node, gradient_program())
+    sim.run(10.0)
+    assert [node.result for node in nodes] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    for node in nodes[3:]:
+        x, y = node.position
+        sim.environment.move_node(node, (x + 100.0, y))
+    sim.run(200.0)
+    assert [node.result for node in nodes] == [0.0, 1.0, 2.0, math.inf, math.inf]
 
 
 def test_gradient_over_hop_metric_is_bfs_depth():
