@@ -27,11 +27,12 @@ sequence to its node.
 Lifecycle: ``setup(context, inbound, state, previous)`` -> run the program
 -> ``cooldown()`` returning ``(slots, export)``, where ``slots`` is the state
 to pass to the next ``setup``.  ``inbound`` holds the neighbours'
-``(sender id, export entries)`` pairs, the form `_gather` reads, and
-``previous`` the device's own last export.  Alignment violations (reusing a
-path, unbalanced enter/exit, such as a scope left open inside an operator
-body) raise `AlignmentError` and abort the round; callers keep the node's
-previous state and export in that case.
+``(sender id, export entries)`` pairs and ``previous`` the device's own last
+export.  `_gather` walks the pairs in id order with ``(own id, None)`` at its
+place, where it puts the field's own entry: a device is its own neighbour.
+Alignment violations (reusing a path, unbalanced enter/exit, such as a scope
+left open inside an operator body) raise `AlignmentError` and abort the
+round; callers keep the node's previous state and export in that case.
 """
 
 from __future__ import annotations
@@ -330,13 +331,11 @@ class Engine:
             raise UsageError("setup called while a round is in progress")
         self._prev_slots = state if state is not None else {}
         self._own_previous = {} if previous is None else previous.entries
-        # (sender id, export entries) in ascending id order.  The own id sits
-        # at its place with the placeholder `_own`, which `_gather` fills with
-        # the own entry of the field it builds.
-        self._own: dict = {}
+        # (sender id, export entries) in ascending id order; the own id sits
+        # at its place with None, where `_gather` puts the field's own entry.
         gathered = list(inbound)
-        gathered.append((context.device_id, self._own))
-        gathered.sort()  # ids are distinct, so no two entry dicts are compared
+        gathered.append((context.device_id, None))
+        gathered.sort()  # ids are distinct, so no two entries are compared
         self._inbound = gathered
         self._node = ROOT
         # the nodes entered this round: a node is entered at most once per
@@ -462,13 +461,9 @@ class Engine:
     def _gather(self, own: Any) -> NeighborhoodField:
         """Every device's entry at the current path, with ``own`` as the local one unless missing."""
         node = self._node
-        own_entries = self._own
-        own_entries.clear()
-        if own is not _MISSING:
-            own_entries[node] = own
         values = {}
         for device_id, entries in self._inbound:
-            value = entries.get(node, _MISSING)
+            value = own if entries is None else entries.get(node, _MISSING)
             if value is not _MISSING:
                 values[device_id] = value
         return from_ordered(self.context.device_id, values)

@@ -77,6 +77,8 @@ class Environment:
                 self._grid.setdefault(cell, []).append(node)
 
     def set_neighborhood_function(self, fn: NeighborhoodFn) -> None:
+        """Install ``fn``, which may read only positions: its answers are memoised
+        until a node moves, so after changing anything else it reads, set it again."""
         self.neighborhood_fn = fn
         self._invalidate()
 

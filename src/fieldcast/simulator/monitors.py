@@ -130,8 +130,8 @@ class StabilityTracker(Monitor):
 class FrameMonitor(Monitor):
     """SVG snapshots of the deployment at fixed simulation-time intervals.
 
-    Each frame draws the current communication edges and one circle per node
-    colored from the traced value; files are named ``frame_<index>.svg``.
+    Frame ``frame_<index>.svg`` draws the edges and a circle per node colored
+    from the traced value once the first instant at or past its time is over.
     An ``interval`` that is not finite and positive raises `DomainError`.
     """
 
@@ -150,6 +150,8 @@ class FrameMonitor(Monitor):
             self._next_time = simulator.time
 
     def on_event(self, simulator: Simulator, event) -> None:
+        if simulator._queue and simulator._queue[0][0] <= simulator.time:
+            return  # the instant is not over
         while simulator.time >= self._next_time:
             self._emit(simulator)
             self._next_time += self.interval

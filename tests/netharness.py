@@ -35,11 +35,14 @@ class SweepNetwork:
             self.simulator.add_node(position, self.sensors.get(node_id))
             if node_id not in self.topology:
                 del environment.nodes[node_id]
-        environment.set_neighborhood_function(lambda _, node: self.topology[node.id])
+        environment.set_neighborhood_function(self._neighbors)
         for node in environment.node_list():
             self.simulator.schedule_event(
                 0.0, aggregate_program_runner, self.simulator, dt, node, lambda: self.program()
             )
+
+    def _neighbors(self, _, node):
+        return self.topology[node.id]
 
     @property
     def exports(self) -> dict[int, Any]:
@@ -50,9 +53,12 @@ class SweepNetwork:
         """Run one round on every node (ascending id); returns the results.
 
         Nodes outside ``only`` are suppressed.  The runner logs and skips a
-        round aborted by an `AlignmentError`; the sweep fails on one.
+        round aborted by an `AlignmentError`; the sweep fails on one.  Edits
+        to ``topology`` since the last sweep take effect.
         """
-        nodes = self.simulator.environment.node_list()
+        environment = self.simulator.environment
+        environment.set_neighborhood_function(self._neighbors)  # drops the memo
+        nodes = environment.node_list()
         for node in nodes:
             node.suppressed = only is not None and node.id not in only
         expected = self.simulator.rounds_executed + sum(not node.suppressed for node in nodes)

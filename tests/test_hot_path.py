@@ -31,11 +31,15 @@ pytestmark = pytest.mark.skipif(
 
 # Measured on CPython 3.11.7, seed 7, 1 s.  scr's first second is the
 # election's transient; the steady state makes fewer calls per round.
-SCR_MEASURED, SCR_CEILING = 258.0, 265.7
-CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 234.8, 241.8
-SOFL_MEASURED, SOFL_CEILING = 321.6, 331.2
-FLOCKING_MEASURED, FLOCKING_CEILING = 140.3, 143.6
-FLOCKING_LONG_STEPS_MEASURED, FLOCKING_LONG_STEPS_CEILING = 184.7, 190.2
+# sofl's count reads 310.7 to 316.1 from one process to the next: `pstats`
+# keys functions by file, line and name, and functions that share all three
+# (the two generator expressions in `average_weights`' last line, say) count
+# as whichever of them it meets last.
+SCR_MEASURED, SCR_CEILING = 248.0, 255.4
+CHANNEL_WIRE_MEASURED, CHANNEL_WIRE_CEILING = 226.8, 233.6
+SOFL_MEASURED, SOFL_CEILING = 311.6, 320.9
+FLOCKING_MEASURED, FLOCKING_CEILING = 138.3, 142.4
+FLOCKING_LONG_STEPS_MEASURED, FLOCKING_LONG_STEPS_CEILING = 182.7, 188.2
 
 
 def calls_per_node_round(monkeypatch, scenario: str, node_rounds=4400, **overrides) -> float:

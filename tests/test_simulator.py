@@ -18,6 +18,7 @@ from fieldcast.stdlib import (
     context_rng,
     current_time,
     distance_to,
+    hop_distances,
     local_id,
     neighbors_distances,
     sense,
@@ -380,6 +381,20 @@ def test_a_topology_with_self_loops_runs_as_one_without_them():
         (1,), (0, 2), (1, 3), (2,)
     ]
     assert plain.sweep(gradient_and_ids)[3] == (3.0, [2, 3])
+
+
+def test_a_sweep_follows_a_link_cut_since_the_last_one():
+    @aggregate
+    def hops_from_source():
+        return distance_to(sense("source"), hop_distances())
+
+    network = SweepNetwork(line_topology(3), sensors={i: {"source": i == 0} for i in range(3)})
+    assert network.run(hops_from_source, 6) == {0: 0.0, 1: 1.0, 2: 2.0}
+    network.topology[1].discard(2)
+    network.topology[2].discard(1)
+    assert network.run(hops_from_source, 5) == {0: 0.0, 1: 1.0, 2: math.inf}
+    environment = network.simulator.environment
+    assert environment.neighbor_ids(environment.nodes[2]) == ()
 
 
 def test_radius_neighborhood_on_lattice_excludes_diagonals():
@@ -986,6 +1001,18 @@ def test_frame_monitor_writes_svg(tmp_path):
     assert len(frames) == 3  # t=0, t=0.5, t=1.0
     content = frames[0].read_text()
     assert content.startswith("<svg") and "circle" in content and "line" in content
+
+
+def test_a_frame_is_drawn_once_its_instant_is_over(tmp_path):
+    sim = Simulator()
+    sim.environment.set_neighborhood_function(radius_neighborhood(1.5))
+    deformed_lattice(sim, 3, 3, 1.0, 0.0)
+    sim.attach_monitor(FrameMonitor(tmp_path, interval=0.5))
+    schedule_everywhere(sim, 0.5, constant_program)
+    sim.run(1.0)
+    fills = re.findall(r'<circle [^>]*fill="([^"]+)"', (tmp_path / "frame_0.svg").read_text())
+    assert len(fills) == 9
+    assert "#888888" not in fills  # every node has its t = 0 result
 
 
 @pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf])

@@ -120,3 +120,44 @@ def test_export_bytes_do_not_depend_on_the_hash_seed():
         digests.append(done.stdout.strip())
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+class WireRoundTrip(Monitor):
+    """Encode every published export inline and by reference, and decode both
+    against one template table, keeping each decode whose entries' ``repr``
+    differs from the sent one's (so ``1`` does not pass for ``1.0``, nor a
+    list for a tuple)."""
+
+    def __init__(self):
+        self.table = TemplateTable()
+        self.exports = 0
+        self.mismatches: list[tuple[float, int, bool]] = []  # (time, sender, inline)
+
+    def on_round(self, simulator, node):
+        export = node.last_export
+        sent = repr(export.entries)
+        for inline in (True, False):
+            decoded = Export.from_bytes(export.to_bytes(inline=inline), self.table)
+            if repr(decoded.entries) != sent:
+                self.mismatches.append((simulator.time, node.id, inline))
+        self.exports += 1
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_scenario_export_round_trips_the_wire_exactly(name, monkeypatch):
+    module = SCENARIOS[name]
+    round_trip = WireRoundTrip()
+    build = module.build_simulator
+
+    def build_with_round_trip(config):
+        simulator = build(config)
+        simulator.attach_monitor(round_trip)
+        return simulator
+
+    monkeypatch.setattr(module, "build_simulator", build_with_round_trip)
+    config = ScenarioConfig(scenario=name, **module.defaults).overridden(
+        rows=5, cols=5, duration=3.0
+    )
+    module.run(config)
+    assert round_trip.exports == 25 * 30  # rounds at t = 0, 0.1, ..., 2.9
+    assert round_trip.mismatches == []
