@@ -15,8 +15,10 @@ Wrapping a function with ``@aggregate`` gives every call its own function
 token, which is what lets two devices recognize they are at the same program
 point.  Each operator pops exactly the token it pushed, in a ``finally``
 clause, so a scope left open inside an operator body aborts the round as
-unbalanced.  The active engine lives in a context variable so independent
-rounds can run on separate threads or tasks.
+unbalanced.  The active engine lives in the context variable ``engine_var``,
+so independent rounds can run on separate threads or tasks; outside every round
+it holds a stand-in whose ``enter``, ``stage_actuation`` and ``context`` raise
+`UsageError`, though its ``get(None)`` still returns ``None``.
 """
 
 from __future__ import annotations
@@ -38,15 +40,28 @@ from .engine import (
 from .errors import UsageError
 from .fields import NeighborhoodField
 
-engine_var: ContextVar[Engine] = ContextVar("fieldcast_engine")
-# The operators read `engine_var` themselves rather than call `current_engine`:
-# on the per-round path a call is most of what such a read costs.
 NO_ENGINE = "no engine active in this context"
 
 
+class _NoEngine:
+    """The engine outside every round: each use raises `UsageError(NO_ENGINE)`."""
+
+    def enter(self, *args) -> NoReturn:
+        raise UsageError(NO_ENGINE)
+
+    stage_actuation = enter
+    context = property(enter)
+
+
+_ABSENT = _NoEngine()
+engine_var: ContextVar[Engine] = ContextVar("fieldcast_engine", default=_ABSENT)
+# The operators read `engine_var` themselves rather than call `current_engine`:
+# on the per-round path a call is most of what such a read costs.
+
+
 def current_engine() -> Engine:
-    engine = engine_var.get(None)
-    if engine is None:
+    engine = engine_var.get()
+    if engine is _ABSENT:
         raise UsageError(NO_ENGINE)
     return engine
 
@@ -109,9 +124,7 @@ def remember(initial: Any) -> tuple[StateHandle, Any]:
     previous round (or the old value, carried forward, if the setter was
     never called).  At most one write takes effect per round, the last one.
     """
-    engine = engine_var.get(None)
-    if engine is None:
-        raise UsageError(NO_ENGINE)
+    engine = engine_var.get()
     engine.enter(KIND_OPERATOR, "remember")
     try:
         value, node = engine.write_slot(initial)
@@ -127,13 +140,10 @@ def neighbors(value: Any) -> NeighborhoodField:
     value sent this round.  Passing a `StateHandle` shares the slot's
     round-start value.
     """
-    engine = engine_var.get(None)
-    if engine is None:
-        raise UsageError(NO_ENGINE)
-    payload = value.current if isinstance(value, StateHandle) else value
+    engine = engine_var.get()
     engine.enter(KIND_OPERATOR, "neighbors")
     try:
-        engine.send(payload)
+        engine.send(value.current if isinstance(value, StateHandle) else value)
         return engine.neighbor_values()
     finally:
         engine.exit()
@@ -149,9 +159,7 @@ def share(initial: Any, update: Callable[[NeighborhoodField], Any]) -> Any:
     information advances one hop per round; the building-block library is
     built on this.
     """
-    engine = engine_var.get(None)
-    if engine is None:
-        raise UsageError(NO_ENGINE)
+    engine = engine_var.get()
     engine.enter(KIND_OPERATOR, "share")
     try:
         value = update(engine.receive(initial))
@@ -180,9 +188,7 @@ def aggregate_call(name: str, body: Callable[[], Any]) -> Any:
 
 def _scoped(kind: str, name: str | None, body: Callable[[], Any]) -> Any:
     """Run ``body`` inside one scope token, closed however the body ends."""
-    engine = engine_var.get(None)
-    if engine is None:
-        raise UsageError(NO_ENGINE)
+    engine = engine_var.get()
     engine.enter(kind, name)
     try:
         return body()
@@ -197,9 +203,7 @@ def aggregate(fn: Callable) -> Callable:
 
     @wraps(fn)
     def wrapper(*args, **kwargs):
-        engine = engine_var.get(None)
-        if engine is None:
-            raise UsageError(NO_ENGINE)
+        engine = engine_var.get()
         engine.enter(KIND_FUNCTION, name)
         try:
             return fn(*args, **kwargs)

@@ -76,8 +76,10 @@ def polarization_series(recorder, node_count: int) -> list[float]:
         headings = by_sweep[sweep]
         if len(headings) != node_count:
             continue  # partial sweep at the horizon
-        sum_x = sum(math.cos(h) for h in headings)
-        sum_y = sum(math.sin(h) for h in headings)
+        sum_x = sum_y = 0  # added in order: sum() compensates floats from 3.12 on
+        for h in headings:
+            sum_x += math.cos(h)
+            sum_y += math.sin(h)
         series.append(math.hypot(sum_x, sum_y) / len(headings))
     return series
 

@@ -48,11 +48,14 @@ def make_program(threshold: float, learning_rate: float):
         trained = tuple(
             w - learning_rate * 2.0 * (w - c) for w, c in zip(weights, center)
         )
-        loss = sum((w - c) ** 2 for w, c in zip(trained, center))
 
         def evaluate(model):
-            return sum((m - c) ** 2 for m, c in zip(model, center))
+            loss = 0  # added in order: sum() compensates floats from 3.12 on
+            for m, c in zip(model, center):
+                loss += (m - c) ** 2
+            return loss
 
+        loss = evaluate(trained)
         distances = loss_based_distances(trained, evaluate)
         election = leader_election(threshold, distances)
         potential = distance_to(election.leader, distances)

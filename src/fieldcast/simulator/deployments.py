@@ -15,18 +15,13 @@ from .node import Node
 
 def grid_generation(simulator: Simulator, rows: int, cols: int, spacing: float) -> list[Node]:
     """Nodes at the lattice points (row * spacing, col * spacing), row-major."""
-    _check_dims(rows, cols, spacing)
-    return [
-        simulator.add_node((row * spacing, col * spacing))
-        for row in range(rows)
-        for col in range(cols)
-    ]
+    return deformed_lattice(simulator, rows, cols, spacing, 0.0)
 
 
 def deformed_lattice(
     simulator: Simulator, rows: int, cols: int, spacing: float, noise: float
 ) -> list[Node]:
-    """A grid with per-axis uniform jitter in [-noise, +noise]."""
+    """A grid with per-axis uniform jitter in [-noise, +noise]; zero noise draws nothing."""
     _check_dims(rows, cols, spacing)
     if noise < 0:
         raise DomainError("lattice noise must be non-negative")
@@ -34,8 +29,8 @@ def deformed_lattice(
     nodes = []
     for row in range(rows):
         for col in range(cols):
-            dx = rng.uniform(-noise, noise)
-            dy = rng.uniform(-noise, noise)
+            dx = rng.uniform(-noise, noise) if noise else 0.0
+            dy = rng.uniform(-noise, noise) if noise else 0.0
             nodes.append(simulator.add_node((row * spacing + dx, col * spacing + dy)))
     return nodes
 

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..calculus import NO_ENGINE, engine_var
+from ..calculus import engine_var
 from ..engine import NO_ROUND, NodeContext
 from ..errors import MissingSensorError, UsageError
 
 
 def round_context() -> NodeContext:
     """The context of the round in progress; `UsageError` outside a round."""
-    engine = engine_var.get(None)
-    if engine is None:
-        raise UsageError(NO_ENGINE)
-    context = engine.context
+    context = engine_var.get().context
     if context is None:
         raise UsageError(NO_ROUND)
     return context
@@ -46,7 +43,4 @@ def context_rng():
 
 def store_actuation(name: str, value: Any) -> None:
     """Stage a named actuation; the runner applies it after the program."""
-    engine = engine_var.get(None)
-    if engine is None:
-        raise UsageError(NO_ENGINE)
-    engine.stage_actuation(name, value)
+    engine_var.get().stage_actuation(name, value)

@@ -35,8 +35,10 @@ def average_weights(models: Iterable[Sequence[float]]) -> tuple[float, ...]:
     models = list(models)
     if not models:
         raise DomainError("average_weights needs at least one model")
-    size = len(models[0])
-    if any(len(m) != size for m in models):
-        raise DomainError("average_weights requires models of equal length")
-    count = len(models)
-    return tuple(sum(m[i] for m in models) / count for i in range(size))
+    totals = [0] * len(models[0])  # added in order: sum() compensates floats from 3.12 on
+    for model in models:
+        if len(model) != len(totals):
+            raise DomainError("average_weights requires models of equal length")
+        for i, weight in enumerate(model):
+            totals[i] += weight
+    return tuple(total / len(models) for total in totals)

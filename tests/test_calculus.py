@@ -374,18 +374,38 @@ def test_operators_outside_engine_context_raise():
         remember(0)
 
 
+def finished_round_handle():
+    engine = Engine()
+    with activate(engine):
+        engine.setup(NodeContext(0, (0.0, 0.0), 0.0, {}), (), None)
+        handle, _ = remember(0)
+        engine.cooldown()
+    return handle
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: remember(0),
         lambda: neighbors(0),
+        # the missing engine is reported before the stale handle is read
+        lambda: neighbors(finished_round_handle()),
         lambda: share(0, lambda field: 0),
         lambda: branch(True, lambda: 0, lambda: 0),
         lambda: aggregate_call("block", lambda: 0),
         aggregate(lambda: 0),
         current_engine,
     ],
-    ids=["remember", "neighbors", "share", "branch", "aggregate_call", "aggregate", "current_engine"],
+    ids=[
+        "remember",
+        "neighbors",
+        "neighbors-of-a-stale-handle",
+        "share",
+        "branch",
+        "aggregate_call",
+        "aggregate",
+        "current_engine",
+    ],
 )
 def test_every_operator_outside_an_engine_raises_usage_error(call):
     with pytest.raises(UsageError, match="^no engine active in this context$"):

@@ -61,6 +61,8 @@ def test_losses_match_direct_computation():
 def test_average_weights():
     assert average_weights([(1.0, 3.0), (3.0, 5.0)]) == (2.0, 4.0)
     assert average_weights([(7.0,)]) == (7.0,)
+    # added left to right: `sum` compensates the rounding from CPython 3.12 on
+    assert average_weights([(1e16,), (1.0,), (-1e16,)]) == (0.0,)
 
 
 def test_average_weights_domain_errors():

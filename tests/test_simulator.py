@@ -476,8 +476,10 @@ def test_deformed_lattice_stays_within_noise():
 def test_zero_noise_equals_grid():
     a, b = Simulator(seed=1), Simulator(seed=2)
     grid = [n.position for n in grid_generation(a, 4, 5, 0.2)]
+    before = b.deploy_rng.getstate()
     flat = [n.position for n in deformed_lattice(b, 4, 5, 0.2, 0.0)]
     assert grid == flat
+    assert b.deploy_rng.getstate() == before  # zero noise draws nothing
 
 
 def test_random_in_circle_containment():

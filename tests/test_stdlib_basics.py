@@ -17,6 +17,7 @@ from fieldcast.stdlib import (
     neighbors_distances,
     round_counter,
     sense,
+    store_actuation,
 )
 from netharness import SweepNetwork, clique_topology
 
@@ -49,6 +50,7 @@ DEVICE_ACCESSORS = {
     "sense": lambda: sense("temp"),
     "context_rng": context_rng,
     "current_time": current_time,
+    "store_actuation": lambda: store_actuation("led", True),
 }
 
 
